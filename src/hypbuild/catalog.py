@@ -36,6 +36,7 @@ turn and taking the least sorted key tuple.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -799,12 +800,17 @@ def _type2_labels(spec):
     return out
 
 
+def _entry_order(entry):
+    return json.dumps(entry.to_json(), sort_keys=True)
+
+
 def claims_check(spec, caps=None):
     """Evaluate the structural catalog claims against the enumerated
     triangle and quadrilateral classes for this chamber.  Returns a
     report dict: claim id -> {pass, witnesses}."""
-    triangles = enumerate_triangles(spec, caps)
-    quads = enumerate_quads(spec, caps)
+    # a fixed order, so witness lists do not follow the hash seed
+    triangles = sorted(enumerate_triangles(spec, caps), key=_entry_order)
+    quads = sorted(enumerate_quads(spec, caps), key=_entry_order)
     a0 = area(spec)
     is238 = spec.k == 3 and sorted(spec.m) == [2, 3, 8]
     report = {}
@@ -865,7 +871,7 @@ def claims_check(spec, caps=None):
           [e.to_json() for e in bad + at_min])
     # exact area law on every entry
     gb = all(
-        e.defect.fraction == e.n * a0.fraction for e in triangles | quads
+        e.defect.fraction == e.n * a0.fraction for e in triangles + quads
     )
     claim("area_law", gb, [])
     report["summary"] = {

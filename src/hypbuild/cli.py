@@ -6,8 +6,11 @@ Every subcommand prints one JSON report to stdout:
      "witnesses": [...], "timings": null | {...}}
 
 Exit codes: 0 when all verdicts pass, 1 when a verification fails,
-2 on usage or input-format errors.  All randomized experiments take
---seed; identical config and seed give byte-identical reports.
+2 on usage or input-format errors, 3 when a computation ran out of
+horizon or numerical precision (an ArithmeticError such as
+NoStabilization or NoConvergence; the report's witnesses name it).
+All randomized experiments take --seed; identical config and seed give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def _cmd_coxeter(args, config):
         except Exception:
             comp = None
         walls.append({
-            "reflection": list(wall),
+            "reflection": list(wall.reflection),
             "edges": len(edge_list),
             "component": list(comp) if comp else None,
         })
@@ -489,11 +492,19 @@ def main(argv=None):
     except (ChamberError, UsageError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except ArithmeticError as exc:
+        # the ray horizon or the numerics ran out: a report, not a traceback
+        command = args.command if args.sub == args.command else "%s %s" % (args.command, args.sub)
+        report = _emit(command, config,
+                       witnesses=[{"error": type(exc).__name__, "message": str(exc)}])
+        code = 3
+    else:
+        code = 0 if all(v.get("pass", True) for v in report["verdicts"]) else 1
     if args.timings:
         report["timings"] = {"elapsed_s": round(time.time() - t0, 3)}
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
-    return 0 if all(v.get("pass", True) for v in report["verdicts"]) else 1
+    return code
 
 
 if __name__ == "__main__":

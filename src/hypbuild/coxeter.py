@@ -5,17 +5,30 @@ chamber; s_i and s_{i+1} (cyclically) satisfy (s_i s_{i+1})^m = 1 where
 pi/m is the angle at the shared vertex, and non-adjacent generator pairs
 have no relation (m = infinity).
 
-The word problem is solved by Tits' theorem: a word is reduced iff no
-sequence of braid moves produces an adjacent equal pair, and all reduced
-words of an element are connected by braid moves (Matsumoto), so the
-canonical form is the lexicographically least word in the braid class of
-any reduced word (ShortLex: all reduced words share the same length).
-Chamber indexing is fixed to this ShortLex order throughout.
+The word problem is solved exactly on root coordinates.  W acts on R^k
+through a Vinberg-style Cartan matrix A (A_ii = 2, A_ij <= 0, and
+A_ij * A_ji = 4 cos^2(pi/m) for adjacent edges, 4 for non-adjacent
+ones); s_i maps x to x - x_i * A[:, i].  Since every m lies in
+{2, 3, 4, 6, 8}, the pairs (A_ij, A_ji) can be chosen in Z[sqrt 2]:
+
+    m = 2: (0, 0)    m = 3: (-1, -1)    m = 4: (-1, -2)
+    m = 6: (-1, -3)  m = 8: (-1, -(2 + sqrt 2))    m = inf: (-2, -2)
+
+so every coordinate of a point is a + b*sqrt(2) with integers a and b,
+and its sign is decided in integers (compare a^2 with 2b^2), never with
+a float.  The open cone x > 0 is a fundamental chamber (Vinberg, *Discrete
+linear groups generated by reflections*, 1971): for x0 = (1, ..., 1),
+s is a left descent of w (l(s w) < l(w)) exactly when the s-coordinate
+of w(x0) is negative.  The ShortLex normal form -- the lexicographically
+least reduced word, the canonical form used for chamber indexing
+throughout -- is read off by repeatedly stripping the least left
+descent (Brink-Howlett, Math. Ann. 296, 1993; Casselman, *Automata to
+perform basic calculations in Coxeter groups*, 1994).  A word of length
+n costs O(n k) ring operations to map and as many to strip.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .weights import WeightVector
@@ -27,6 +40,29 @@ class BallTooSmall(ValueError):
 
 class ResourceCap(RuntimeError):
     pass
+
+
+# (A_ij, A_ji) for the vertex of gonality m between edges i and j, as
+# integer pairs (a, b) = a + b*sqrt(2); A_ij * A_ji = 4 cos^2(pi/m)
+_CARTAN_PAIRS = {
+    2: ((0, 0), (0, 0)),
+    3: ((-1, 0), (-1, 0)),
+    4: ((-1, 0), (-2, 0)),
+    6: ((-1, 0), (-3, 0)),
+    8: ((-1, 0), (-2, -1)),
+}
+# non-adjacent edges: A_ij * A_ji = 4, so s_i s_j has infinite order
+_FREE = (-2, 0)
+
+
+def _negative(a, b):
+    """True when a + b*sqrt(2) < 0 (never called on zero)."""
+    if a <= 0 and b <= 0:
+        return True
+    if a >= 0 and b >= 0:
+        return False
+    # opposite signs: the term of larger absolute value decides
+    return (a < 0) if a * a > 2 * b * b else (b < 0)
 
 
 class CoxeterSystem:
@@ -41,11 +77,21 @@ class CoxeterSystem:
             a, b = j, j % spec.k + 1
             self._orders[(a, b)] = spec.m[j - 1]
             self._orders[(b, a)] = spec.m[j - 1]
+        # 0-based Cartan entries; vertex j joins edges j and j+1
+        cartan = {(r, s): _FREE for r in range(self.k) for s in range(self.k) if r != s}
+        for j in range(self.k):
+            a, b = j, (j + 1) % self.k
+            cartan[(a, b)], cartan[(b, a)] = _CARTAN_PAIRS[spec.m[j]]
+        # column s as its nonzero off-diagonal entries (r, a, b):
+        # s maps x_r to x_r - x_s * (a + b*sqrt 2) and x_s to -x_s
+        self._columns = [
+            [(r, *cartan[(r, s)]) for r in range(self.k) if r != s and cartan[(r, s)] != (0, 0)]
+            for s in range(self.k)
+        ]
         self._canon_cache = {}
-        self._class_cache = {}
 
     def m_between(self, a, b):
-        """Order of s_a s_b (None when infinite, 1 when a == b would be 2... a != b expected)."""
+        """Order of s_a s_b for distinct generators (None when infinite)."""
         return self._orders.get((a, b))
 
     # -- word problem ---------------------------------------------------
@@ -54,80 +100,39 @@ class CoxeterSystem:
         """ShortLex canonical form of an arbitrary word (tuple of 1-based
         generator indices)."""
         word = tuple(word)
-        while True:
-            hit = self._canon_cache.get(word)
-            if hit is not None:
-                return hit
-            reduced, result = self._explore(word)
-            if reduced:
-                self._canon_cache[word] = result
-                return result
-            # an adjacent equal pair was deleted; keep reducing
-            self._canon_cache[word] = None  # placeholder removed below
-            del self._canon_cache[word]
-            word = result
-
-    def _explore(self, word):
-        """BFS over the braid class of `word`.  Returns (False, shorter)
-        the moment a deletable adjacent pair appears, else (True, lexmin)."""
-        hit = self._class_cache.get(word)
+        hit = self._canon_cache.get(word)
         if hit is not None:
-            return True, hit
-        for i in range(len(word) - 1):
-            if word[i] == word[i + 1]:
-                return False, word[:i] + word[i + 2 :]
-        seen = {word}
-        queue = deque([word])
-        while queue:
-            w = queue.popleft()
-            for w2 in self._braid_moves(w):
-                if w2 in seen:
-                    continue
-                hit = self._class_cache.get(w2)
-                if hit is not None:
-                    for s in seen:
-                        self._class_cache[s] = hit
-                    return True, hit
-                for i in range(len(w2) - 1):
-                    if w2[i] == w2[i + 1]:
-                        return False, w2[:i] + w2[i + 2 :]
-                seen.add(w2)
-                queue.append(w2)
-        best = min(seen)
-        for s in seen:
-            self._class_cache[s] = best
-        return True, best
-
-    def _braid_moves(self, w):
-        n = len(w)
-        for p in range(n - 1):
-            a, b = w[p], w[p + 1]
-            if a == b:
-                continue
-            m = self._orders.get((a, b))
-            if m is None or p + m > n:
-                continue
-            ok = True
-            for t in range(m):
-                if w[p + t] != (a if t % 2 == 0 else b):
-                    ok = False
+            return hit
+        k, columns = self.k, self._columns
+        xa, xb = [1] * k, [0] * k  # the point x0, as a + b*sqrt(2) per coordinate
+        todo = [s - 1 for s in word]
+        out = []
+        while True:
+            # map x0 to w(x0) letter by letter from the right, then strip
+            # the least left descent until none is left
+            if todo:
+                s = todo.pop()
+            else:
+                for s in range(k):
+                    a, b = xa[s], xb[s]
+                    if (a < 0 if b == 0 else _negative(a, b)):
+                        break
+                else:
                     break
-            if ok:
-                yield w[:p] + tuple(b if t % 2 == 0 else a for t in range(m)) + w[p + m :]
-
-    def mult(self, u, v):
-        return self.canon(tuple(u) + tuple(v))
-
-    @staticmethod
-    def inverse(word):
-        return tuple(reversed(word))
-
-    def length(self, word):
-        return len(self.canon(word))
-
-    def reduce(self, word):
-        """Public name for canon(); returns the ShortLex reduced form."""
-        return self.canon(word)
+                out.append(s + 1)
+            ca, cb = xa[s], xb[s]
+            for r, ha, hb in columns[s]:
+                if hb:
+                    xa[r] -= ca * ha + 2 * cb * hb
+                    xb[r] -= ca * hb + cb * ha
+                else:
+                    xa[r] -= ca * ha
+                    if cb:
+                        xb[r] -= cb * ha
+            xa[s], xb[s] = -ca, -cb
+        result = tuple(out)
+        self._canon_cache[word] = result
+        return result
 
     # -- inversions / walls ---------------------------------------------
 
@@ -256,19 +261,6 @@ class CoxeterBall:
     def word_length(self, idx):
         return len(self.words[idx])
 
-    def rmul_word(self, idx, word):
-        """Right-multiply chamber idx by a word using table lookups; the
-        whole walk must stay inside the ball (else returns None)."""
-        for g in word:
-            idx = self.rmul[idx][g - 1]
-            if idx is None:
-                return None
-        return idx
-
-    def inverse_index(self, idx):
-        """Index of the inverse element, when inside the ball."""
-        return self.index.get(self.system.canon(tuple(reversed(self.words[idx]))))
-
     # -- cells ----------------------------------------------------------
 
     def _build_cells(self):
@@ -329,9 +321,6 @@ class CoxeterBall:
                     self.vertex_of[x][j - 1] = key
         # per-chamber boundary flag
         self.is_inner = [all(x is not None for x in row) for row in self.rmul]
-
-    def chamber_count(self):
-        return len(self.words)
 
     def interior_vertex_keys(self):
         return [k for k, v in self.vertices.items() if v["interior"]]

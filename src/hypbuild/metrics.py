@@ -89,15 +89,6 @@ class _Host:
                 if d is not None:
                     yield d, label
 
-    def wdist_word(self, a, b):
-        """Canonical reduced W-word from chamber a to chamber b."""
-        if self.is_building:
-            return rb.wdist(
-                self.ball.words[a], self.ball.words[b], self.spec, self.system
-            )
-        u, v = self.ball.words[a], self.ball.words[b]
-        return self.system.canon(tuple(reversed(u)) + v)
-
     def inner_indices(self):
         """Chambers whose pairwise minimal-weight galleries are certain to
         stay inside the ball (word length <= radius/2)."""
@@ -121,16 +112,6 @@ class DualGraph:
         self.weights = [WeightVector.log_int(qi) for qi in self.q]
         self._minw_cache = {(): WeightVector.zero()}
         self._pair_cache = {}
-        # for right-angled Coxeter systems the word problem is solved by
-        # the polynomial graph-product normal form, much faster than the
-        # general braid-class search
-        if all(mi == 2 for mi in ball.spec.m):
-            thin = validate(ball.spec.k, ball.spec.m)
-            self._canon = lambda w: tuple(
-                i for (i, _c) in rb.normal_form(tuple((g, 1) for g in w), thin)
-            )
-        else:
-            self._canon = self.host.system.canon
 
     def __len__(self):
         return len(self.host)
@@ -184,12 +165,12 @@ class DualGraph:
         host = self.host
         if host.is_building:
             word = rb.wdist(host.ball.words[a], host.ball.words[b], self.spec)
-            return self._canon(word)
+            return host.system.canon(word)
         u, v = host.ball.words[a], host.ball.words[b]
-        return self._canon(tuple(reversed(u)) + v)
+        return host.system.canon(tuple(reversed(u)) + v)
 
     def min_word_weight(self, word):
-        return self._minw(self._canon(tuple(word)))
+        return self._minw(self.host.system.canon(tuple(word)))
 
     def _minw(self, word):
         cached = self._minw_cache.get(word)
@@ -197,7 +178,7 @@ class DualGraph:
             return cached
         best = None
         for i in set(word):
-            shorter = self._canon(word + (i,))
+            shorter = self.host.system.canon(word + (i,))
             if len(shorter) < len(word):
                 cand = self._minw(shorter) + self.weight(i)
                 if best is None or cand < best:

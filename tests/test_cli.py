@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,27 @@ def test_coxeter_ball_counts(capsys):
     )
     assert code == 0
     assert rep["results"][0]["chambers"] == 16
+
+
+def test_coxeter_walls_report(capsys):
+    code, rep = run(
+        capsys, "coxeter", "walls", "--chamber", "3;2,3,8", "--radius", "6"
+    )
+    assert code == 0
+    assert rep["results"]
+    assert rep["results"][0]["reflection"] == [1]
+
+
+def test_horizon_shortfall_exits_3_with_report(capsys):
+    code = cli.main(
+        ["metrics", "busemann", "--chamber", "3;2,3,8", "--radius", "1",
+         "--theta", "0.3", "--cp", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    rep = json.loads(captured.out)
+    assert rep["witnesses"][0]["error"] == "NoStabilization"
+    assert "Traceback" not in captured.err
 
 
 def test_genpoly_construct_and_verify_roundtrip(capsys, tmp_path):
@@ -134,3 +159,19 @@ def test_timings_flag_fills_field(capsys):
     )
     assert code == 0
     assert rep["timings"] is not None and "elapsed_s" in rep["timings"]
+
+
+def test_claims_report_independent_of_hash_seed():
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def once(seed):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypbuild.cli", "catalog", "claims",
+             "--chamber", "3;2,4,6"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert once(1) == once(2)

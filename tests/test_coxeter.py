@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypbuild.chamber import validate
+from hypbuild.chamber import parse_chamber_string, validate
 from hypbuild.coxeter import (
     BallTooSmall,
     CoxeterBall,
@@ -97,6 +99,78 @@ def test_canon_idempotent_and_inverse(spec238):
         red = sysc.canon(word)
         assert sysc.canon(red) == red
         assert sysc.canon(word + tuple(reversed(word))) == ()
+
+
+# ---------------------------------------------------------------------------
+# oracle 3: Tits' braid-class search, for short words
+# ---------------------------------------------------------------------------
+
+def braid_moves(sysc, w):
+    """Words one braid move (ab.. -> ba.., m letters each) away from w."""
+    for p in range(len(w) - 1):
+        a, b = w[p], w[p + 1]
+        m = sysc.m_between(a, b) if a != b else None
+        if m is None or p + m > len(w):
+            continue
+        if all(w[p + t] == (a, b)[t % 2] for t in range(m)):
+            yield w[:p] + tuple((b, a)[t % 2] for t in range(m)) + w[p + m :]
+
+
+def braid_shortlex(sysc, word):
+    """ShortLex form by Tits' solution of the word problem: a word is
+    reduced iff no braid move exposes an adjacent equal pair, and the
+    reduced words of an element form one braid class (Matsumoto).  The
+    cost grows with the class size, so this serves short words only."""
+    word = tuple(word)
+    while True:
+        seen = {word}
+        queue = deque([word])
+        shorter = None
+        while queue:
+            w = queue.popleft()
+            pair = next((i for i in range(len(w) - 1) if w[i] == w[i + 1]), None)
+            if pair is not None:
+                shorter = w[:pair] + w[pair + 2 :]
+                break
+            for w2 in braid_moves(sysc, w):
+                if w2 not in seen:
+                    seen.add(w2)
+                    queue.append(w2)
+        if shorter is None:
+            return min(seen)
+        word = shorter
+
+
+ORACLE_SPECS = [
+    "3;2,3,8", "3;2,4,8", "3;3,3,4", "3;2,4,6",
+    "4;2,2,2,3", "4;2,4,2,6", "5;2,2,2,2,2", "6;2,2,2,2,2,2",
+]
+
+
+@pytest.mark.parametrize("chamber", ORACLE_SPECS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canon_matches_braid_class_oracle(chamber, data):
+    sysc = CoxeterSystem(parse_chamber_string(chamber))
+    word = tuple(data.draw(st.lists(st.integers(1, sysc.k), max_size=12)))
+    assert sysc.canon(word) == braid_shortlex(sysc, word)
+
+
+@pytest.mark.parametrize("chamber", ORACLE_SPECS)
+def test_long_reflection_words(chamber):
+    # reflections w s w^-1 with |w| = 150, far beyond the oracle's
+    # reach: t is an involution, canon is idempotent, and a reflection
+    # has odd length
+    sysc = CoxeterSystem(parse_chamber_string(chamber))
+    rng = random.Random(chamber)
+    for _ in range(3):
+        w = ()
+        while len(w) < 150:
+            w = max(w, sysc.canon(w + (rng.randint(1, sysc.k),)), key=len)
+        t = sysc.canon(w + (rng.randint(1, sysc.k),) + tuple(reversed(w)))
+        assert sysc.canon(t + t) == ()
+        assert sysc.canon(t) == t
+        assert len(t) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
