@@ -16,7 +16,7 @@ from hypbuild.coxeter import CoxeterBall
 print("== (2,3,8) apartment with formal weights q = (2,3,5) ==")
 spec = validate(3, (2, 3, 8))
 G = mt.DualGraph(CoxeterBall(spec, 6), q=(2, 3, 5))
-inner = G.host.inner_indices()
+inner = [c for c, w in enumerate(G.ball.words) if len(w) <= G.ball.radius // 2]
 print("  %d chambers, %d inner" % (len(G), len(inner)))
 rng = random.Random(1)
 for _ in range(3):

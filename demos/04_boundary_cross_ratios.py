@@ -20,7 +20,7 @@ ORIGIN = (1.0, 0.0, 0.0)
 spec = validate(5, (2, 2, 2, 2, 2), (2, 2, 2, 2, 2))
 G = mt.DualGraph(rb.ball(spec, 5))
 chart = mt.chart_for(G)
-inner = G.host.inner_indices()
+inner = [c for c, w in enumerate(G.ball.words) if len(w) <= G.ball.radius // 2]
 rng = random.Random(3)
 
 print("== cross-ratio invariance on random quadruples ==")

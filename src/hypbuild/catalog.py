@@ -22,16 +22,16 @@ Two independent engines are provided and cross-checked:
 * a brute-force enumerator of edge-connected chamber sets filtered to
   convex disks (every boundary vertex angle <= pi).
 
-Chambers are identified by their exact hyperbolic position: the
-tessellation is grown lazily as a table of Lorentz matrices, with
-rounded-matrix keys (entries agree to ~1e-9 while distinct chambers
-differ by >> 1e-4).  This keeps chamber identification polynomial for
-the long products that arise along walls.
+Chambers are identified exactly by their ShortLex words: the
+tessellation is grown lazily, and the chamber across edge g of chamber
+w is the chamber of canon(w g) (coxeter.CoxeterSystem.canon), so no
+float decides whether two chambers are the same.
 
 Isomorphism classes are label-preserving: the symmetry group of the
 labeled tessellation acts simply transitively on chambers, so a class
-is canonicalized by translating each member chamber to the origin in
-turn and taking the least sorted key tuple.
+is canonicalized by translating each member chamber u to the base
+chamber in turn (s -> canon(u^-1 s)) and taking the least sorted tuple
+of translated words.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import geomrender as gr
-from .chamber import PI, RationalAngle, area, validate
-from .coxeter import ResourceCap, boundary_components
+from .chamber import RationalAngle, area
+from .coxeter import CoxeterSystem, ResourceCap, boundary_components
 
 
 class TouchesBoundary(ValueError):
@@ -57,49 +56,22 @@ class NotADisk(ValueError):
 # the lazily-grown tessellation table
 # ---------------------------------------------------------------------------
 
-_ROUND = 4
-_MATCH_TOL = 1e-7
-
-
-def _mat_inv(M):
-    """Inverse of a Lorentz matrix: J M^T J with J = diag(1,-1,-1)."""
-    s = (1.0, -1.0, -1.0)
-    return [[s[i] * s[j] * M[j][i] for j in range(3)] for i in range(3)]
-
-
 class Tessellation:
     """The full chamber tessellation, grown on demand.  Chambers are
-    integer ids; chamber 0 is the base chamber at the origin."""
+    integer ids keyed by their ShortLex words; chamber 0 is the base
+    chamber."""
 
     def __init__(self, spec):
         self.spec = spec
         self.k = spec.k
-        thin = validate(spec.k, spec.m)
-        self.polygon = gr.normal_polygon(thin)
-        self.refl = [
-            gr.reflection_matrix(
-                gr.geodesic_normal(*self.polygon.edge_endpoints(i))
-            )
-            for i in range(1, spec.k + 1)
-        ]
-        ident = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        self.mats = [ident]
+        self.system = CoxeterSystem(spec)
         self.words = [()]
-        self.index = {self._key(ident): 0}
+        self.index = {(): 0}
         self.rmul = [[None] * spec.k]
         self._vcache = {}
 
-    @staticmethod
-    def _key(M):
-        return tuple(
-            round(M[r][c], _ROUND) + 0.0 for r in range(3) for c in range(3)
-        )
-
     def __len__(self):
-        return len(self.mats)
-
-    def key_of(self, c):
-        return self._key(self.mats[c])
+        return len(self.words)
 
     def step(self, c, g):
         """Chamber across edge labeled g (1-based)."""
@@ -107,26 +79,15 @@ class Tessellation:
         cached = row[g - 1]
         if cached is not None:
             return cached
-        M = gr.mat_mul(self.mats[c], self.refl[g - 1])
-        key = self._key(M)
-        idx = self.index.get(key)
+        word = self.system.canon(self.words[c] + (g,))
+        idx = self.index.get(word)
         if idx is None:
-            idx = len(self.mats)
-            self.mats.append(M)
-            self.words.append(self.words[c] + (g,))
-            self.index[key] = idx
+            idx = len(self.words)
+            self.words.append(word)
+            self.index[word] = idx
             self.rmul.append([None] * self.spec.k)
-        else:
-            old = self.mats[idx]
-            if any(
-                abs(M[r][cc] - old[r][cc]) > _MATCH_TOL
-                for r in range(3)
-                for cc in range(3)
-            ):
-                raise ArithmeticError(
-                    "chamber identification drifted beyond tolerance"
-                )
         row[g - 1] = idx
+        self.rmul[idx][g - 1] = c
         return idx
 
     def edge(self, c, g):
@@ -191,14 +152,12 @@ class Tessellation:
 
     def canonical_form(self, chambers):
         """Least, over all translations bringing a member chamber to the
-        origin, of the sorted tuple of translated chamber keys."""
+        base chamber, of the sorted tuple of translated chamber words."""
+        canon = self.system.canon
         best = None
         for u in chambers:
-            inv = _mat_inv(self.mats[u])
-            keys = sorted(
-                self._key(gr.mat_mul(inv, self.mats[s])) for s in chambers
-            )
-            cand = tuple(keys)
+            inv = tuple(reversed(self.words[u]))
+            cand = tuple(sorted(canon(inv + self.words[s]) for s in chambers))
             if best is None or cand < best:
                 best = cand
         return best

@@ -212,7 +212,7 @@ def _cmd_building(args, config):
         }]
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(rb.export_complex(b))
+                fh.write(export_complex(b))
             results[0]["out"] = args.out
         return _emit("building ball", config, results=results)
     # retract: spot-check the retraction onto a random two-chamber apartment
@@ -247,6 +247,10 @@ def _rays_from_thetas(G, thetas):
 
 def _cmd_metrics(args, config):
     G = _graph_of(args)
+    for name in ("c", "cp", "x", "y"):
+        idx = getattr(args, name, None)
+        if idx is not None and not 0 <= idx < len(G):
+            raise UsageError("--%s %d is not a chamber index in [0, %d)" % (name, idx, len(G)))
     if args.sub == "dist":
         d = mt.dist(G, args.c, args.cp)
         return _emit(
@@ -352,8 +356,7 @@ def _cmd_catalog(args, config):
             real = gr.realize(CoxeterBall(validate(spec.k, spec.m), radius))
             svg = gr.render_svg(
                 real,
-                overlays={"disks": [[real.ball.index[real.ball.system.canon(T.words[c])]
-                                     for c in e.rep]]},
+                overlays={"disks": [[real.ball.index[T.words[c]] for c in e.rep]]},
             )
             path = "%s/%s_%02d.svg" % (args.svg_dir, args.sub, i)
             with open(path, "w") as fh:
@@ -380,6 +383,13 @@ def _cmd_render(args, config):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _radius(text):
+    radius = int(text)
+    if radius < 0:
+        raise argparse.ArgumentTypeError("radius must be >= 0, got %d" % radius)
+    return radius
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="hypbuild")
     p.add_argument("--timings", action="store_true",
@@ -403,7 +413,7 @@ def _build_parser():
     coxeter = add("coxeter", ["ball", "walls"], _cmd_coxeter)
     for s in coxeter.values():
         s.add_argument("--chamber", required=True)
-        s.add_argument("--radius", type=int, default=4)
+        s.add_argument("--radius", type=_radius, default=4)
     coxeter["ball"].add_argument("--out", help="write the complex exchange file")
 
     genpoly = add(
@@ -424,7 +434,7 @@ def _build_parser():
     for s in building.values():
         s.add_argument("--chamber", required=True)
     for name in ("ball", "retract"):
-        building[name].add_argument("--radius", type=int, default=3)
+        building[name].add_argument("--radius", type=_radius, default=3)
     building["ball"].add_argument("--out")
     building["verify"].add_argument("--in", dest="infile", required=True)
     building["retract"].add_argument("--samples", type=int, default=100)
@@ -440,7 +450,7 @@ def _build_parser():
         s.add_argument("--chamber", required=True)
         s.add_argument("--host", choices=["apartment", "building"],
                        default="apartment")
-        s.add_argument("--radius", type=int, default=4)
+        s.add_argument("--radius", type=_radius, default=4)
         s.add_argument("--q", help="override weights on an apartment host")
         s.add_argument("--seed", type=int, default=0)
     metrics["dist"].add_argument("--c", type=int, default=0)
@@ -471,7 +481,7 @@ def _build_parser():
     render = top.add_parser("render")
     render.set_defaults(handler=_cmd_render, sub="render")
     render.add_argument("--chamber", required=True)
-    render.add_argument("--radius", type=int, default=4)
+    render.add_argument("--radius", type=_radius, default=4)
     render.add_argument("--out", required=True)
     return p
 

@@ -212,7 +212,94 @@ def wall_period(component, k, full_cycle):
     return tuple(component) + tuple(reversed(component))
 
 
-class CoxeterBall:
+class ChamberComplex:
+    """The labeled 2-complex of a finite ball of chambers, shared by
+    tessellation balls (CoxeterBall) and thick building balls
+    (rabuilding.BuildingBall).
+
+    A subclass sets `spec`, `radius`, `system`, `words` (chamber words,
+    index = position) and `index` (word -> position), then calls
+    `_build_cells`.  It supplies `panel(c, label)`, the words of every
+    chamber of the panel of chamber c across edge `label` (in the ball
+    or not), `_vertex_size(j)`, the number of chambers around a closed
+    vertex j, and the chamber-level `neighbors(c)` and `wdist(a, b)`.
+    Methods read `self.system` at call time, so a fresh CoxeterSystem
+    can replace the word-problem caches between uses.
+    """
+
+    def __len__(self):
+        return len(self.words)
+
+    def word_length(self, idx):
+        return len(self.words[idx])
+
+    def _build_cells(self):
+        k = self.spec.k
+        n = len(self.words)
+        # edges: key -> (label, [in-ball chambers of the panel]); the key
+        # is (least chamber word of the panel, label)
+        self.edge_of = [[None] * k for _ in range(n)]  # edge key per (chamber, label-1)
+        edges = {}
+        panels = [[None] * k for _ in range(n)]  # in-ball chambers per (chamber, label-1)
+        full = [0] * k  # chambers of a complete panel, per label
+        for c in range(n):
+            for label in range(1, k + 1):
+                members = self.panel(c, label)
+                key = (min(members), label)
+                chambers = edges.setdefault(key, (label, []))[1]
+                chambers.append(c)
+                self.edge_of[c][label - 1] = key
+                panels[c][label - 1] = chambers
+                full[label - 1] = len(members)
+        self.edges = edges
+        # a chamber is inner when all its panels lie in the ball
+        self.is_inner = [list(map(len, row)) == full for row in panels]
+        # vertices: components of the around-the-vertex moves (two panels);
+        # a vertex is interior when all chambers around it are in the ball
+        sizes = [self._vertex_size(j) for j in range(1, k + 1)]
+        vertex_of = self.vertex_of = [[None] * k for _ in range(n)]  # per (chamber, vertex j-1)
+        self.vertices = {}
+        for c in range(n):
+            for j in range(1, k + 1):
+                if vertex_of[c][j - 1] is not None:
+                    continue
+                a, b = j, j % k + 1  # edge labels at this vertex
+                comp = []
+                stack = [c]
+                local = {c}
+                while stack:
+                    x = stack.pop()
+                    comp.append(x)
+                    for label in (a, b):
+                        for y in panels[x][label - 1]:
+                            if y not in local:
+                                local.add(y)
+                                stack.append(y)
+                comp.sort()
+                key = (comp[0], j)
+                self.vertices[key] = {
+                    "labels": (a, b),
+                    "j": j,
+                    "chambers": comp,
+                    "interior": len(comp) == sizes[j - 1],
+                    "m": self.spec.m_at_vertex(j),
+                }
+                for x in comp:
+                    vertex_of[x][j - 1] = key
+
+    def interior_vertex_keys(self):
+        return [k for k, v in self.vertices.items() if v["interior"]]
+
+    def adjacency(self):
+        """Yield (c1, c2, label) for each dual-graph edge (unordered,
+        each chamber pair once per shared panel)."""
+        for (_word, label), (_lbl, cs) in self.edges.items():
+            for i in range(len(cs)):
+                for j in range(i + 1, len(cs)):
+                    yield cs[i], cs[j], label
+
+
+class CoxeterBall(ChamberComplex):
     """All chambers at word length <= radius, assembled as a labeled
     2-complex with integer-indexed multiplication tables."""
 
@@ -230,7 +317,6 @@ class CoxeterBall:
         k = self.spec.k
         words = [()]
         index = {(): 0}
-        rmul = []
         frontier = [()]
         for _ in range(self.radius):
             nxt = []
@@ -247,6 +333,7 @@ class CoxeterBall:
         order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
         self.words = [words[i] for i in order]
         self.index = {w: i for i, w in enumerate(self.words)}
+        # right multiplication table: rmul[c][g - 1] -> index or None
         self.rmul = []
         for w in self.words:
             row = []
@@ -255,81 +342,24 @@ class CoxeterBall:
                 row.append(self.index.get(w2))
             self.rmul.append(row)
 
-    def __len__(self):
-        return len(self.words)
+    def neighbors(self, c):
+        """Yield (neighbor index, label) over in-ball panel moves."""
+        for label, d in enumerate(self.rmul[c], 1):
+            if d is not None:
+                yield d, label
 
-    def word_length(self, idx):
-        return len(self.words[idx])
+    def panel(self, c, label):
+        """The words of chamber c and of its neighbor across `label`."""
+        w = self.words[c]
+        d = self.rmul[c][label - 1]
+        return (w, self.words[d] if d is not None else self.system.canon(w + (label,)))
 
-    # -- cells ----------------------------------------------------------
+    def _vertex_size(self, j):
+        return 2 * self.spec.m_at_vertex(j)
 
-    def _build_cells(self):
-        k = self.spec.k
-        n = len(self.words)
-        # edges: key -> (label, [chamber indices]); key is the smaller
-        # chamber word on the edge (or the in-ball chamber for boundary edges)
-        self.edge_of = [[None] * k for _ in range(n)]  # edge key per (chamber, label-1)
-        edges = {}
-        for c in range(n):
-            for g in range(1, k + 1):
-                nb = self.rmul[c][g - 1]
-                if nb is None:
-                    other_word = self.system.canon(self.words[c] + (g,))
-                else:
-                    other_word = self.words[nb]
-                key = (min(self.words[c], other_word), g)
-                entry = edges.setdefault(key, (g, []))
-                entry[1].append(c)
-                self.edge_of[c][g - 1] = key
-        self.edges = edges
-        # vertices: component of the around-the-vertex move graph
-        self.vertex_of = [[None] * k for _ in range(n)]  # per (chamber, vertex j-1)
-        self.vertices = {}
-        visited = set()
-        for c in range(n):
-            for j in range(1, k + 1):
-                if (c, j) in visited:
-                    continue
-                a, b = j, j % k + 1  # edge labels at this vertex
-                comp = []
-                closed = True
-                stack = [c]
-                local = {c}
-                while stack:
-                    x = stack.pop()
-                    comp.append(x)
-                    for g in (a, b):
-                        y = self.rmul[x][g - 1]
-                        if y is None:
-                            closed = False
-                        elif y not in local:
-                            local.add(y)
-                            stack.append(y)
-                comp.sort()
-                key = (comp[0], j)
-                m = self.spec.m_at_vertex(j)
-                interior = closed and len(comp) == 2 * m
-                self.vertices[key] = {
-                    "labels": (a, b),
-                    "j": j,
-                    "chambers": comp,
-                    "interior": interior,
-                    "m": m,
-                }
-                for x in comp:
-                    visited.add((x, j))
-                    self.vertex_of[x][j - 1] = key
-        # per-chamber boundary flag
-        self.is_inner = [all(x is not None for x in row) for row in self.rmul]
-
-    def interior_vertex_keys(self):
-        return [k for k, v in self.vertices.items() if v["interior"]]
-
-    def adjacency(self):
-        """Yield (c1, c2, label) for interior dual-graph edges."""
-        for (word, g), (label, cs) in self.edges.items():
-            if len(cs) == 2:
-                yield cs[0], cs[1], label
+    def wdist(self, a, b):
+        """The ShortLex W-distance word from chamber a to chamber b."""
+        return self.system.canon(tuple(reversed(self.words[a])) + self.words[b])
 
     # -- walls ----------------------------------------------------------
 

@@ -399,7 +399,7 @@ def trace(realized, base, theta, length, margin=None, tangent=None,
         )
         if hyp_distance(xpt, va) < margin or hyp_distance(xpt, vb) < margin:
             raise NearVertex("crossing at t=%.6f too close to a vertex" % t)
-        nxt = _neighbor_across(ball, c, label)
+        nxt = ball.rmul[c][label - 1]
         if nxt is None:
             if stop_at_boundary:
                 return crossings
@@ -407,15 +407,6 @@ def trace(realized, base, theta, length, margin=None, tangent=None,
         c = nxt
         crossings.append((label, c, t))
         t0 = t
-
-
-def _neighbor_across(ball, c, label):
-    """Neighbor chamber across edge `label`, for both tessellation balls
-    (one neighbor) and building balls (pick the apartment-default color)."""
-    row = ball.rmul[c]
-    if isinstance(row, dict):
-        return row.get((label, 1))
-    return row[label - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ are exact WeightVectors (integer or half-integer combinations of logs of
 primes); floats only appear in Dijkstra heap ordering (guarded by exact
 comparison) and in the quasi-metric surrogate.
 
+The host ball is a CoxeterBall (a thin apartment) or a
+rabuilding.BuildingBall.  Both give the chamber interface of
+coxeter.ChamberComplex (`neighbors`, `wdist`, `is_inner`), so the
+distance engines never ask which one they have; only apartment charts
+and the branch rays of the detection experiments do.
+
 Two independent distance engines are provided:
 
 * ``dist``: textbook Dijkstra on the truncated dual graph; exact for
@@ -33,7 +39,7 @@ from fractions import Fraction
 from . import geomrender as gr
 from . import rabuilding as rb
 from .chamber import validate
-from .coxeter import CoxeterBall, CoxeterSystem
+from .coxeter import CoxeterBall
 from .geomrender import LeftBall, NearVertex
 from .weights import WeightVector
 
@@ -60,50 +66,11 @@ class NoApartment(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# host adapters: one interface over tessellation and building balls
-# ---------------------------------------------------------------------------
-
-class _Host:
-    """Uniform chamber-level view of a CoxeterBall or BuildingBall."""
-
-    def __init__(self, ball):
-        self.ball = ball
-        self.spec = ball.spec
-        self.system = ball.system
-        self.is_building = isinstance(ball.rmul[0], dict)
-
-    def __len__(self):
-        return len(self.ball.words)
-
-    def word(self, c):
-        return self.ball.words[c]
-
-    def neighbors(self, c):
-        if self.is_building:
-            for (label, _col), d in self.ball.rmul[c].items():
-                if d is not None:
-                    yield d, label
-        else:
-            for label, d in enumerate(self.ball.rmul[c], 1):
-                if d is not None:
-                    yield d, label
-
-    def inner_indices(self):
-        """Chambers whose pairwise minimal-weight galleries are certain to
-        stay inside the ball (word length <= radius/2)."""
-        cut = self.ball.radius // 2
-        return [
-            c for c in range(len(self)) if len(self.ball.words[c]) <= cut
-        ]
-
-
 class DualGraph:
     """Weighted dual graph of a ball.  `q` overrides the spec thickness
     for the edge weights (formal weights on a thin apartment)."""
 
     def __init__(self, ball, q=None):
-        self.host = _Host(ball)
         self.ball = ball
         self.spec = ball.spec
         self.q = tuple(q) if q is not None else tuple(ball.spec.q)
@@ -114,7 +81,7 @@ class DualGraph:
         self._pair_cache = {}
 
     def __len__(self):
-        return len(self.host)
+        return len(self.ball)
 
     def weight(self, label):
         return self.weights[label - 1]
@@ -141,7 +108,7 @@ class DualGraph:
             if target is not None and c == target:
                 return best
             dc = best[c]
-            for d, label in self.host.neighbors(c):
+            for d, label in self.ball.neighbors(c):
                 nd = dc + self.weight(label)
                 if d not in best or nd < best[d]:
                     best[d] = nd
@@ -157,20 +124,12 @@ class DualGraph:
         key = (C, Cp) if C <= Cp else (Cp, C)
         cached = self._pair_cache.get(key)
         if cached is None:
-            cached = self.min_word_weight(self._wdist_fast(key[0], key[1]))
+            cached = self.min_word_weight(self.ball.wdist(key[0], key[1]))
             self._pair_cache[key] = cached
         return cached
 
-    def _wdist_fast(self, a, b):
-        host = self.host
-        if host.is_building:
-            word = rb.wdist(host.ball.words[a], host.ball.words[b], self.spec)
-            return host.system.canon(word)
-        u, v = host.ball.words[a], host.ball.words[b]
-        return host.system.canon(tuple(reversed(u)) + v)
-
     def min_word_weight(self, word):
-        return self._minw(self.host.system.canon(tuple(word)))
+        return self._minw(self.ball.system.canon(tuple(word)))
 
     def _minw(self, word):
         cached = self._minw_cache.get(word)
@@ -178,7 +137,7 @@ class DualGraph:
             return cached
         best = None
         for i in set(word):
-            shorter = self.host.system.canon(word + (i,))
+            shorter = self.ball.system.canon(word + (i,))
             if len(shorter) < len(word):
                 cand = self._minw(shorter) + self.weight(i)
                 if best is None or cand < best:
@@ -226,16 +185,16 @@ class ApartmentChart:
 
     def to_host(self, chart_chamber):
         w = self.realized.ball.words[chart_chamber]
-        host = self.graph.host
+        ball = self.graph.ball
         if self.coloring is None:
-            return host.ball.index.get(w)
-        return host.ball.index.get(self.coloring.alpha(w, host.system))
+            return ball.index.get(w)
+        return ball.index.get(self.coloring.alpha(w, ball.system))
 
 
 def chart_for(graph, chart_radius=None, coloring=None):
     radius = chart_radius if chart_radius is not None else graph.ball.radius + 3
     realized = realized_apartment(graph.spec, radius)
-    if graph.host.is_building and coloring is None:
+    if isinstance(graph.ball, rb.BuildingBall) and coloring is None:
         coloring = rb.ApartmentColoring(spec=graph.spec, base=(), colors={})
     return ApartmentChart(graph, realized, coloring)
 
@@ -243,7 +202,7 @@ def chart_for(graph, chart_radius=None, coloring=None):
 def chart_through(graph, C, Cp, chart_radius=None):
     """A chart whose apartment contains both host chambers; the chart
     origin is placed at C."""
-    if not graph.host.is_building:
+    if not isinstance(graph.ball, rb.BuildingBall):
         return chart_for(graph, chart_radius)
     ball = graph.ball
     coloring = rb.apartment_through(ball, ball.words[C], ball.words[Cp])
@@ -408,9 +367,6 @@ def growth(G, n, base=0):
     chamber.  Raises HorizonTooSmall unless every boundary chamber of the
     ball is already farther than n (so the count is certified)."""
     table = G.dist_from(base)
-    inner_flags = (
-        G.ball.is_inner if hasattr(G.ball, "is_inner") else None
-    )
     count = 0
     certified = True
     for c in range(len(G)):
@@ -419,7 +375,7 @@ def growth(G, n, base=0):
         within = table[c].value() <= n + 1e-9
         if within:
             count += 1
-            if inner_flags is not None and not inner_flags[c]:
+            if not G.ball.is_inner[c]:
                 certified = False
     if not certified:
         raise HorizonTooSmall(
@@ -551,22 +507,17 @@ def detect_skeleton_experiment(G, line, samples=24, seed=0, margin=None):
 def _panel_charts(G, chart, chart_chamber, label):
     """Charts covering every host chamber of the panel across `label` of
     the given chart chamber (for a tessellation, just the one chart)."""
-    host = G.host
-    if not host.is_building:
+    if not isinstance(G.ball, rb.BuildingBall):
         return [(chart, None)]
+    ball = G.ball
     base_host = chart.to_host(chart_chamber)
-    w = chart.realized.ball.words[chart_chamber]
     out = []
     for color in range(1, G.spec.q[label - 1] + 1):
-        word = rb.normal_form(
-            host.ball.words[base_host] + ((label, color),), G.spec
-        )
-        target = host.ball.index.get(word)
+        word = rb.normal_form(ball.words[base_host] + ((label, color),), G.spec)
+        target = ball.index.get(word)
         if target is None:
             continue
-        coloring = rb.apartment_through(
-            host.ball, host.ball.words[base_host], word
-        )
+        coloring = rb.apartment_through(ball, ball.words[base_host], word)
         # re-base the coloring so the chart origin still maps to the
         # chart's base chamber
         out.append(
@@ -584,7 +535,7 @@ def _rebase(G, chart, coloring, chart_chamber):
     # coloring is based at the host image of chart_chamber; build a new
     # coloring whose alpha over the chart origin () agrees with walking
     # backwards from chart_chamber
-    sysc = G.host.system
+    sysc = G.ball.system
     w = chart.realized.ball.words[chart_chamber]
     winv = sysc.canon(tuple(reversed(w)))
     base = coloring.alpha(winv, sysc)
@@ -594,7 +545,7 @@ def _rebase(G, chart, coloring, chart_chamber):
         new_colors[moved] = col
     # walls colored on the path from the new base to the old one keep
     # their colors implicitly via apartment_through below
-    through = rb.apartment_through(G.host.ball, base, coloring.base)
+    through = rb.apartment_through(G.ball, base, coloring.base)
     merged = dict(through.colors)
     merged.update(new_colors)
     return rb.ApartmentColoring(spec=G.spec, base=base, colors=merged)
@@ -617,7 +568,7 @@ def _skeleton_quadruples(G, label, samples, rng):
         # side selector per ray: +1 / -1 across the wall; color choice for
         # thick hosts handled through panel charts below
         sides = [rng.choice((1, -1)) for _ in range(4)]
-        use_branch = G.host.is_building and s % 3 == 2
+        use_branch = isinstance(G.ball, rb.BuildingBall) and s % 3 == 2
         normal = _wall_normal(realized, label)
         rays = []
         for r_idx in range(4):
@@ -714,7 +665,7 @@ def _side_probes(G, chart0, label, off, back, tilt, mid, along, normal):
     for sgn in (1, -1):
         base = _offset_point(mid, along, back, normal, sgn * off * 0.9)
         probes.append(_ray_from(chart0, base, theta_pos + sgn * tilt))
-    if G.host.is_building:
+    if isinstance(G.ball, rb.BuildingBall):
         cc = gr.locate(realized, probes[0].base)
         for chart_b, _color in _panel_charts(G, chart0, cc, label)[1:]:
             probes.append(_ray_from(chart_b, probes[0].base, probes[0].theta))
@@ -797,7 +748,7 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
         }
 
     kinds = ["same", "opposite"]
-    if G.host.is_building:
+    if isinstance(G.ball, rb.BuildingBall):
         kinds.append("branch")
     records = []
     agree = 0

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .chamber import ChamberSpec
-from .coxeter import CoxeterSystem, ResourceCap
+from .coxeter import ChamberComplex, CoxeterSystem, ResourceCap
 
 
 class BuildingError(ValueError):
@@ -136,7 +136,7 @@ def wdist(g, h, spec, system=None):
 # building balls
 # ---------------------------------------------------------------------------
 
-class BuildingBall:
+class BuildingBall(ChamberComplex):
     """All chambers at gallery distance <= radius from the base chamber,
     with labeled edges and vertices assembled from panels."""
 
@@ -184,27 +184,23 @@ class BuildingBall:
                 row[letter] = self.index.get(normal_form(w + (letter,), self.spec))
             self.rmul.append(row)
 
-    def __len__(self):
-        return len(self.words)
-
-    def chamber_count(self):
-        return len(self.words)
-
-    def word_length(self, idx):
-        return len(self.words[idx])
-
     def neighbors(self, idx):
         """Yield (neighbor index, label) over in-ball panel moves."""
         for (i, c), j in self.rmul[idx].items():
             if j is not None:
                 yield j, i
 
+    def wdist(self, a, b):
+        """The ShortLex W-distance word from chamber a to chamber b."""
+        return wdist(self.words[a], self.words[b], self.spec, self.system)
+
     # -- cells ----------------------------------------------------------
 
-    def _panel_members(self, word, label):
-        """All chambers of the panel of `word` across edge `label`
+    def panel(self, c, label):
+        """All chambers of the panel of chamber c across edge `label`
         (normal forms, whether or not they lie in the ball)."""
         spec = self.spec
+        word = self.words[c]
         base = normal_form(word + ((label, 1),), spec)
         if len(base) <= len(word):
             # word ends (up to commutation) in a letter of this label:
@@ -215,77 +211,13 @@ class BuildingBall:
         else:
             stripped = word
         members = [stripped]
-        for c in range(1, spec.q[label - 1] + 1):
-            members.append(normal_form(stripped + ((label, c),), spec))
+        for col in range(1, spec.q[label - 1] + 1):
+            members.append(normal_form(stripped + ((label, col),), spec))
         return members
 
-    def _build_cells(self):
-        k = self.spec.k
-        n = len(self.words)
-        self.edge_of = [[None] * k for _ in range(n)]
-        edges = {}
-        for c in range(n):
-            for label in range(1, k + 1):
-                members = self._panel_members(self.words[c], label)
-                key = (min(members), label)
-                entry = edges.setdefault(key, (label, []))
-                if c not in entry[1]:
-                    entry[1].append(c)
-                self.edge_of[c][label - 1] = key
-        for entry in edges.values():
-            entry[1].sort()
-        self.edges = edges
-        # vertices: orbits of the around-the-vertex moves (two panels)
-        self.vertex_of = [[None] * k for _ in range(n)]
-        self.vertices = {}
-        visited = set()
-        for c in range(n):
-            for j in range(1, k + 1):
-                if (c, j) in visited:
-                    continue
-                a, b = j, j % k + 1
-                comp = []
-                closed = True
-                stack = [c]
-                local = {c}
-                while stack:
-                    x = stack.pop()
-                    comp.append(x)
-                    for label in (a, b):
-                        for col in range(1, self.spec.q[label - 1] + 1):
-                            y = self.rmul[x][(label, col)]
-                            if y is None:
-                                closed = False
-                            elif y not in local:
-                                local.add(y)
-                                stack.append(y)
-                comp.sort()
-                key = (comp[0], j)
-                expected = (self.spec.q[a - 1] + 1) * (self.spec.q[b - 1] + 1)
-                self.vertices[key] = {
-                    "labels": (a, b),
-                    "j": j,
-                    "chambers": comp,
-                    "interior": closed and len(comp) == expected,
-                    "m": 2,
-                }
-                for x in comp:
-                    visited.add((x, j))
-                    self.vertex_of[x][j - 1] = key
-        self.is_inner = [
-            all(v is not None for v in row.values()) for row in self.rmul
-        ]
-
-    def interior_vertex_keys(self):
-        return [k for k, v in self.vertices.items() if v["interior"]]
-
-    def adjacency(self):
-        """Yield (c1, c2, label) for each dual-graph edge (unordered,
-        each chamber pair once per shared panel)."""
-        for (word, label), (_lbl, cs) in self.edges.items():
-            for i in range(len(cs)):
-                for j in range(i + 1, len(cs)):
-                    yield cs[i], cs[j], label
+    def _vertex_size(self, j):
+        a, b = j, j % self.spec.k + 1
+        return (self.spec.q[a - 1] + 1) * (self.spec.q[b - 1] + 1)
 
     def vertex_link(self, key):
         """Link graph of a vertex: nodes are incident edges (colored by
@@ -362,15 +294,10 @@ class ApartmentColoring:
         return sorted((list(k), v) for k, v in self.colors.items())
 
 
-def apartment_through(ball_or_spec, C, C_prime):
+def apartment_through(ball, C, C_prime):
     """A deterministic apartment containing both chambers: colors are read
     off the unique normal-form gallery from C to C', default 1 elsewhere."""
-    spec = ball_or_spec.spec if hasattr(ball_or_spec, "spec") else ball_or_spec
-    system = (
-        ball_or_spec.system
-        if hasattr(ball_or_spec, "system")
-        else CoxeterSystem(spec)
-    )
+    spec, system = ball.spec, ball.system
     delta = normal_form(inverse_word(C, spec) + tuple(C_prime), spec)
     colors = {}
     prefix = ()
@@ -381,13 +308,10 @@ def apartment_through(ball_or_spec, C, C_prime):
     return ApartmentColoring(spec=spec, base=tuple(C), colors=colors)
 
 
-def retraction(ball_obj, A, C):
+def retraction(ball, A, C):
     """The retraction onto apartment A centered at chamber C (which must
     lie on A): maps chamber D to alpha(w_C * wdist(C, D))."""
-    spec = ball_obj.spec if hasattr(ball_obj, "spec") else ball_obj
-    system = (
-        ball_obj.system if hasattr(ball_obj, "system") else CoxeterSystem(spec)
-    )
+    spec, system = ball.spec, ball.system
     w_C = A.position_of(C, system)
     if w_C is None:
         raise BuildingError("NotOnApartment", "center chamber not on the apartment")
@@ -590,27 +514,3 @@ def _m_between_labels(spec, a, b):
     if lo == 1 and hi == spec.k:
         return spec.m[spec.k - 1]
     return None
-
-
-def export_complex(ball_obj):
-    """Serialize a building ball in the same exchange format as the
-    Coxeter tessellation balls."""
-    vkeys = sorted(ball_obj.vertices.keys())
-    vid = {key: i for i, key in enumerate(vkeys)}
-    ekeys = sorted(ball_obj.edges.keys())
-    eid = {key: i for i, key in enumerate(ekeys)}
-    lines = []
-    for key in vkeys:
-        a, b = ball_obj.vertices[key]["labels"]
-        lines.append("v %d %d %d" % (vid[key], a, b))
-    k = ball_obj.spec.k
-    for key in ekeys:
-        label, cs = ball_obj.edges[key]
-        c = cs[0]
-        va = ball_obj.vertex_of[c][(label - 2) % k]
-        vb = ball_obj.vertex_of[c][label - 1]
-        lines.append("e %d %d %d %d" % (eid[key], label, vid[va], vid[vb]))
-    for c in range(len(ball_obj.words)):
-        es = [eid[ball_obj.edge_of[c][g - 1]] for g in range(1, k + 1)]
-        lines.append("f %d %s" % (c, " ".join(str(e) for e in es)))
-    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import pytest
 
 from hypbuild import catalog as cat
 from hypbuild.chamber import PI, RationalAngle, area, validate
-from hypbuild.coxeter import CoxeterBall, ResourceCap
+from hypbuild.coxeter import CoxeterBall, CoxeterSystem, ResourceCap
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,20 @@ def test_enumeration_deterministic(spec238):
     b = cat.enumerate_triangles(spec238)
     assert a == b
     assert {e.key for e in a} == {e.key for e in b}
+
+
+@pytest.mark.parametrize("k,m", [(3, (2, 3, 8)), (3, (3, 3, 4)), (4, (2, 2, 2, 3))])
+def test_tessellation_words_are_shortlex(k, m):
+    # chambers are keyed by reduced words, so growing the table never
+    # stores two words for one chamber
+    spec = validate(k, m)
+    cat.enumerate_triangles(spec)
+    cat.enumerate_quads(spec)
+    T = cat.tessellation(spec)
+    system = CoxeterSystem(spec)
+    assert len(T) > 1
+    assert all(system.canon(w) == w for w in T.words)
+    assert len(set(T.words)) == len(T)
 
 
 # ---------------------------------------------------------------------------

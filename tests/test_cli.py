@@ -38,6 +38,21 @@ def test_usage_error_exits_2(capsys):
     assert code == 2
 
 
+def test_negative_radius_is_a_usage_error(capsys):
+    assert cli.main(["coxeter", "ball", "--chamber", "3;2,3,8", "--radius", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["gromov", "--x", "1", "--y", "99"],  # past the last chamber
+    ["dist", "--c", "-1", "--cp", "0"],  # not read as the last chamber
+])
+def test_metrics_chamber_index_out_of_range_is_a_usage_error(capsys, flags):
+    argv = ["metrics"] + flags[:1] + ["--chamber", "3;2,3,8", "--radius", "2"] + flags[1:]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_coxeter_ball_counts(capsys):
     code, rep = run(
         capsys, "coxeter", "ball", "--chamber", "3;2,3,8", "--radius", "3"

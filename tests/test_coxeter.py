@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -5,6 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypbuild import rabuilding as rb
 from hypbuild.chamber import parse_chamber_string, validate
 from hypbuild.coxeter import (
     BallTooSmall,
@@ -410,3 +412,21 @@ def test_export_complex_format(spec238):
     assert len(fs) == len(ball)
     for line in fs:
         assert len(line.split()) == 2 + ball.spec.k
+
+
+# sha256 of the exchange files of two tessellation and two building
+# balls: any change to the order or numbering of cells changes them
+EXPORT_SHA256 = [
+    ("3;2,3,8", 4, "79248e3046a586dbdf5f3b7831806ea98c123e280f2dbe60ee2c1de75543b2f8"),
+    ("4;2,4,2,6", 3, "8d13a8a621b2aef720cf64ed62e965d79a812e15069399e8cccf7a7605af612e"),
+    ("5;2,2,2,2,2;2,2,2,2,2", 2, "8caa7abc285528dc4a00bc21ab7f09795d38b98ee910e2821fe03cfdfadb5065"),
+    ("5;2,2,2,2,2;2,3,2,2,3", 2, "fffe60d8f9eda49e845b0e1121a22a070d18f080bc641b25f68749cf2e5ef0ab"),
+]
+
+
+@pytest.mark.parametrize("chamber,radius,digest", EXPORT_SHA256)
+def test_export_complex_bytes_pinned(chamber, radius, digest):
+    spec = parse_chamber_string(chamber)
+    ball = rb.ball(spec, radius) if spec.is_thick() else CoxeterBall(spec, radius)
+    text = export_complex(ball)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

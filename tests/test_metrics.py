@@ -12,6 +12,12 @@ LOG = WeightVector.log_int
 ORIGIN = (1.0, 0.0, 0.0)
 
 
+def _inner(G):
+    """Chambers of word length <= radius/2, whose pairwise minimal-weight
+    galleries stay inside the ball."""
+    return [c for c, w in enumerate(G.ball.words) if len(w) <= G.ball.radius // 2]
+
+
 @pytest.fixture(scope="module")
 def aG(spec238):
     # thin (2,3,8) apartment with formal thickness weights (2, 3, 5)
@@ -26,7 +32,7 @@ def bG(pentagon_thick):
 def _nx_graph(G):
     g = nx.Graph()
     for c in range(len(G)):
-        for d, label in G.host.neighbors(c):
+        for d, label in G.ball.neighbors(c):
             g.add_edge(c, d, weight=math.log(G.q[label - 1]))
     return g
 
@@ -49,13 +55,13 @@ def _aim(base, target):
 def test_dist_self_and_adjacent(aG, bG):
     for G in (aG, bG):
         assert G.dist(0, 0) == WeightVector.zero()
-        for d, label in G.host.neighbors(0):
+        for d, label in G.ball.neighbors(0):
             assert G.dist(0, d) == G.weight(label)
 
 
 def test_dist_two_letter_word(aG):
     # chamber s1 s2: separated from the base by the walls {s1, s1 s2 s1}
-    target = aG.ball.index[aG.host.system.canon((1, 2))]
+    target = aG.ball.index[aG.ball.system.canon((1, 2))]
     assert aG.dist(0, target) == LOG(2) + LOG(3)
 
 
@@ -74,7 +80,7 @@ def test_dist_matches_independent_dijkstra(which, aG, bG):
 def test_dist_equals_wall_weight_sum(which, aG, bG):
     # Dijkstra distance = sum of separating-wall edge weights
     G = aG if which == "apartment" else bG
-    inner = G.host.inner_indices()
+    inner = _inner(G)
     rng = random.Random(1)
     pairs = [(rng.choice(inner), rng.choice(inner)) for _ in range(60)]
     for a, b in pairs:
@@ -85,7 +91,7 @@ def test_non_shortest_paths_have_weight_gap(spec238):
     # every simple path between two chambers is either minimal or exceeds
     # the distance by at least min_i log q_i
     G = mt.DualGraph(CoxeterBall(spec238, 2), q=(2, 3, 5))
-    adj = {c: list(G.host.neighbors(c)) for c in range(len(G))}
+    adj = {c: list(G.ball.neighbors(c)) for c in range(len(G))}
     target = 2
     d = G.dist(0, target)
     gap = LOG(2)  # min over the formal weights
@@ -236,7 +242,7 @@ def test_busemann_same_chamber_zero(bG):
 def test_busemann_cocycle(bG):
     chart = mt.chart_for(bG)
     xi = _ray(chart, ORIGIN, 2.1)
-    inner = bG.host.inner_indices()
+    inner = _inner(bG)
     rng = random.Random(4)
     for _ in range(10):
         C, D, E = (rng.choice(inner) for _ in range(3))
@@ -251,7 +257,7 @@ def _edge_midpoint_rays(G):
     host chamber pair (C1, C2) on that edge."""
     chart0 = mt.chart_for(G)
     realized = chart0.realized
-    ball = G.host.ball
+    ball = G.ball
     mid, _along = mt._wall_frame(realized, 1)
     C1 = ball.index[()]
     C2 = ball.index[rb.normal_form(((1, 1),), G.spec)]
@@ -288,7 +294,7 @@ def test_busemann_edge_trichotomy(bG):
 def test_base_change_identity(bG):
     # {xi|eta}_E' = {xi|eta}_E + (B_xi(E,E') + B_eta(E,E')) / 2
     chart = mt.chart_for(bG)
-    inner = bG.host.inner_indices()
+    inner = _inner(bG)
     rng = random.Random(5)
     checked = 0
     while checked < 8:
@@ -332,7 +338,7 @@ def test_cross_ratio_all_through_interior_is_zero(bG):
 
 def test_cross_ratio_base_independence_and_antisymmetry(bG):
     chart = mt.chart_for(bG)
-    inner = bG.host.inner_indices()
+    inner = _inner(bG)
     rng = random.Random(6)
     done = 0
     while done < 5:
@@ -389,7 +395,7 @@ def test_quasi_dist_base_change_ratio(bG):
     xi = _ray(chart, ORIGIN, 1.0)
     eta = _ray(chart, ORIGIN, 1.0 + math.pi - 0.5)
     tau = 0.73
-    C, D = 0, bG.host.inner_indices()[3]
+    C, D = 0, _inner(bG)[3]
     ratio = mt.quasi_dist(bG, xi, eta, D, tau) / mt.quasi_dist(bG, xi, eta, C, tau)
     corr = (mt.busemann(bG, xi, C, D) + mt.busemann(bG, eta, C, D)).halve()
     assert abs(ratio - math.exp(-tau * corr.value())) < 1e-9

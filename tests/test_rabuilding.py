@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hypbuild import genpoly, rabuilding as rb
-from hypbuild.coxeter import CoxeterBall, export_complex as cox_export
+from hypbuild.coxeter import CoxeterBall, export_complex
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +257,7 @@ def test_retraction_requires_center_on_apartment(bb3):
 # ---------------------------------------------------------------------------
 
 def test_verify_generated_ball(bb3):
-    report = rb.verify_building_local(rb.export_complex(bb3), bb3.spec)
+    report = rb.verify_building_local(export_complex(bb3), bb3.spec)
     assert report.ok, report.violations[:5]
     assert report.checked["faces"] == len(bb3)
     assert report.checked["closed_links"] == len(bb3.interior_vertex_keys())
@@ -265,7 +265,7 @@ def test_verify_generated_ball(bb3):
 
 
 def test_verify_flags_thin_complex_against_thick_spec(pentagon, pentagon_thick):
-    text = cox_export(CoxeterBall(pentagon, 2))
+    text = export_complex(CoxeterBall(pentagon, 2))
     report = rb.verify_building_local(text, pentagon_thick)
     assert not report.ok
     codes = {v[0] for v in report.violations}
@@ -273,7 +273,7 @@ def test_verify_flags_thin_complex_against_thick_spec(pentagon, pentagon_thick):
 
 
 def test_verify_flags_corrupted_face(bb3):
-    text = rb.export_complex(bb3)
+    text = export_complex(bb3)
     lines = text.strip().splitlines()
     for i, line in enumerate(lines):
         if line.startswith("f "):
