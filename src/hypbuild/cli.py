@@ -75,6 +75,9 @@ def _graph_of(args):
         ball = CoxeterBall(validate(spec.k, spec.m), args.radius)
         q = [int(x) for x in args.q.split(",")] if args.q else None
         return mt.DualGraph(ball, q=q)
+    if args.q:
+        raise UsageError("--q overrides weights on an apartment host only; "
+                         "a building's thickness comes from --chamber")
     return mt.DualGraph(rb.ball(spec, args.radius))
 
 
@@ -225,7 +228,7 @@ def _cmd_building(args, config):
     for _ in range(args.samples):
         d = rng.randrange(len(b.words))
         img = rho(b.words[d])
-        pos = A.position_of(img)
+        pos = A.position_of(img, b.system)
         if pos is None:
             failures.append({"chamber": list(b.words[d]), "reason": "image off apartment"})
         if len(img) > len(b.words[d]):

@@ -7,6 +7,18 @@ linear maps preserving the Lorentz form.  Tessellation balls are realized
 by composing edge reflections along words; geodesics are traced through
 the realized chambers; figures are drawn in the Poincare disk projection
 with the incenter of the base chamber at the origin.
+
+Points are located by walking the chart (Devillers-Pion-Teillaud,
+*Walking in a triangulation*, 2002), not by scanning it.  The chambers
+of a reflection tessellation are the Dirichlet domains of the orbit of
+the base barycenter, and each edge geodesic of a chamber is the
+perpendicular bisector of its barycenter and the neighbor's.  So the
+walk starts at the base chamber and crosses an edge whose geodesic
+separates the point from the current chamber until none does; each
+crossing removes one wall between them, so the walk follows a minimal
+gallery, stays in the word-length ball and costs O(word length * k).
+Up to rounding it answers what a scan for the nearest barycenter would.
+Each chamber's edge normals are computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -235,7 +247,9 @@ class RealizedBall:
         self.ball = ball
         self.polygon = polygon
         self.matrices = matrices
-        self._barycenters = None
+        # per-chamber caches, filled on first use: one slot per chamber
+        self._barycenters = [None] * len(matrices)
+        self._normals = [None] * len(matrices)
         self.base_normals = [
             geodesic_normal(*polygon.edge_endpoints(i))
             for i in range(1, ball.spec.k + 1)
@@ -246,8 +260,6 @@ class RealizedBall:
         return [mat_apply(M, v) for v in self.polygon.vertices]
 
     def chamber_barycenter(self, c):
-        if self._barycenters is None:
-            self._barycenters = [None] * len(self.matrices)
         cached = self._barycenters[c]
         if cached is None:
             vs = self.chamber_vertices(c)
@@ -255,9 +267,15 @@ class RealizedBall:
             cached = self._barycenters[c] = _normalize_point(s)
         return cached
 
-    def edge_normal(self, c, label):
-        u = mat_apply(self.matrices[c], self.base_normals[label - 1])
-        return _normalize_spacelike(u)
+    def edge_normals(self, c):
+        """The unit normals of chamber c's edge geodesics, by label - 1."""
+        cached = self._normals[c]
+        if cached is None:
+            M = self.matrices[c]
+            cached = self._normals[c] = tuple(
+                _normalize_spacelike(mat_apply(M, u)) for u in self.base_normals
+            )
+        return cached
 
     def dedup_count(self, digits=9):
         seen = set()
@@ -318,21 +336,40 @@ def _round_pt(p, digits=6):
 def point_in_chamber(realized, p, c, slack=1e-9):
     """Is p on the chamber's side of all k of its edge geodesics?"""
     center = realized.chamber_barycenter(c)
-    for label in range(1, realized.ball.spec.k + 1):
-        u = realized.edge_normal(c, label)
+    for u in realized.edge_normals(c):
         if bform(p, u) * bform(center, u) < -slack:
             return False
     return True
 
 
 def locate(realized, p):
-    """Chamber index containing p, or None."""
-    best, best_d = None, None
-    for c in range(len(realized.matrices)):
-        d = bform(p, realized.chamber_barycenter(c))
-        if best_d is None or d < best_d:
-            best, best_d = c, d
-    return best if point_in_chamber(realized, p, best, slack=1e-7) else None
+    """Chamber index containing p, or None.
+
+    Walks from the base chamber (index 0, the empty word), each step
+    across the edge whose geodesic separates p from the current chamber
+    the most.  A separating edge leads away from the base chamber, so
+    the walk takes at most `radius` steps.  Taking the most separating
+    edge keeps rounding errors from sending the walk across a wall that
+    p only touches while another wall clearly separates it.  The walk
+    stops where no edge separates p, or where the next step would leave
+    the ball or lead back toward the base (which only rounding can ask
+    for), and answers that chamber if it holds p."""
+    rmul, words = realized.ball.rmul, realized.ball.words
+    c = 0
+    while True:
+        center = realized.chamber_barycenter(c)
+        worst, label = 0.0, None
+        for i, u in enumerate(realized.edge_normals(c)):
+            side = bform(p, u) * bform(center, u)
+            if side < worst:
+                worst, label = side, i
+        if label is None:
+            break
+        nxt = rmul[c][label]
+        if nxt is None or len(words[nxt]) < len(words[c]):
+            break
+        c = nxt
+    return c if point_in_chamber(realized, p, c, slack=1e-7) else None
 
 
 def tangent_at(p, theta):
@@ -375,8 +412,7 @@ def trace(realized, base, theta, length, margin=None, tangent=None,
         if guard > 10000:
             raise ToleranceFail("trace did not terminate")
         best = None
-        for label in range(1, k + 1):
-            u = realized.edge_normal(c, label)
+        for label, u in enumerate(realized.edge_normals(c), 1):
             bp, bv = bform(base, u), bform(v, u)
             denom = bv
             if abs(denom) < 1e-15:
@@ -393,10 +429,8 @@ def trace(realized, base, theta, length, margin=None, tangent=None,
             return crossings
         t, label = best
         xpt = _normalize_point(geodesic_point(base, v, t))
-        va, vb = (
-            realized.chamber_vertices(c)[(label - 2) % k],
-            realized.chamber_vertices(c)[label - 1],
-        )
+        vs = realized.chamber_vertices(c)
+        va, vb = vs[(label - 2) % k], vs[label - 1]
         if hyp_distance(xpt, va) < margin or hyp_distance(xpt, vb) < margin:
             raise NearVertex("crossing at t=%.6f too close to a vertex" % t)
         nxt = ball.rmul[c][label - 1]

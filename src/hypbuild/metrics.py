@@ -309,28 +309,37 @@ def boundary_gromov(G, xi, eta, C):
     horizon = min(len(Ci), len(Dj))
     if horizon < _MIN_TAIL + 1:
         raise NoStabilization("ray horizon too short", (len(Ci), len(Dj)))
-    dC = {}
-    dD = {}
-    for i in range(horizon):
-        dC[i] = G.wall_sum(Ci[i], C)
-        dD[i] = G.wall_sum(Dj[i], C)
-    vals = {}
-    for i in range(horizon):
-        for j in range(horizon):
-            cross = G.wall_sum(Ci[i], Dj[j])
-            vals[(i, j)] = (dC[i] + dD[j] - cross).halve()
-    for i0 in range(horizon - _MIN_TAIL):
-        tail = [
-            vals[(i, j)]
-            for i in range(i0, horizon)
-            for j in range(i0, horizon)
-        ]
-        if all(v == tail[0] for v in tail):
-            return Stabilized(value=tail[0], index=i0, horizon=horizon)
-    raise NoStabilization(
-        "boundary Gromov product did not stabilize within the horizon",
-        {"horizon": horizon},
-    )
+    dC = [G.wall_sum(Ci[i], C) for i in range(horizon)]
+    dD = [G.wall_sum(Dj[j], C) for j in range(horizon)]
+    vals = [
+        [(dC[i] + dD[j] - G.wall_sum(Ci[i], Dj[j])).halve() for j in range(horizon)]
+        for i in range(horizon)
+    ]
+    value, index = _stable_tail(vals)
+    if index >= horizon - _MIN_TAIL:
+        raise NoStabilization(
+            "boundary Gromov product did not stabilize within the horizon",
+            {"horizon": horizon},
+        )
+    return Stabilized(value=value, index=index, horizon=horizon)
+
+
+def _stable_tail(vals):
+    """The value and the least index i0 of the constant tail of a square
+    table: vals[i][j] is the same for all i, j >= i0.
+
+    The tails are scanned from the last index down, in O(h^2): tail i0 is
+    constant exactly when tail i0 + 1 is and row i0 and column i0 of tail
+    i0 carry its value, so the scan stops at the first failure."""
+    h = len(vals)
+    value = vals[h - 1][h - 1]
+    index = h - 1
+    for i0 in range(h - 2, -1, -1):
+        row = vals[i0]
+        if not all(row[j] == value and vals[j][i0] == value for j in range(i0, h)):
+            break
+        index = i0
+    return value, index
 
 
 def busemann(G, xi, C, D):

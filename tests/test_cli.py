@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,33 @@ def test_metrics_chamber_index_out_of_range_is_a_usage_error(capsys, flags):
     argv = ["metrics"] + flags[:1] + ["--chamber", "3;2,3,8", "--radius", "2"] + flags[1:]
     assert cli.main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_q_on_building_host_is_a_usage_error(capsys):
+    argv = ["metrics", "dist", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+            "--host", "building", "--radius", "2", "--c", "0", "--cp", "7"]
+    assert cli.main(argv + ["--q", "5,5,5,5,5"]) == 2
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == 0
+
+
+# sha256 of seeded reports whose samples are placed by float point
+# location, measured with the linear chamber scan (test_geomrender's
+# _scan_locate) in place of the walk
+PINNED_REPORTS = [
+    (["metrics", "detect-skeleton", "--chamber", "3;2,3,8", "--radius", "8"],
+     0, "4fb62dcd471a511cc53992632bd01a9a1781a90658829ae6710f86d98a438a1e"),
+    (["metrics", "detect-skeleton", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+      "--host", "building", "--radius", "4", "--label", "1"],
+     1, "1274109ba033603113c1f2f008c2dd6477483fe5168f53145b08cc98b66ae66d"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS)
+def test_seeded_report_bytes_pinned(capsys, argv, code, digest):
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_coxeter_ball_counts(capsys):

@@ -107,6 +107,84 @@ def test_realize_pentagon_dedup(pentagon):
 
 
 # ---------------------------------------------------------------------------
+# point location
+# ---------------------------------------------------------------------------
+
+def _scan_locate(realized, p):
+    """Oracle: the chamber with the nearest barycenter, found by scanning
+    every realized chamber, if it holds p.  In exact arithmetic this is
+    the chamber that locate's walk reaches."""
+    best, best_d = None, None
+    for c in range(len(realized.matrices)):
+        d = gr.bform(p, realized.chamber_barycenter(c))
+        if best_d is None or d < best_d:
+            best, best_d = c, d
+    return best if gr.point_in_chamber(realized, p, best, slack=1e-7) else None
+
+
+def _combine(points, weights):
+    """Normalized positive combination: a point of the convex hull (the
+    hyperboloid model is projectively convex)."""
+    s = [sum(w * q[i] for q, w in zip(points, weights)) for i in range(3)]
+    return gr._normalize_point(s)
+
+
+def _base_sample(polygon, rng):
+    """A point of the base polygon: spread over it, or pulled toward an
+    edge or a vertex, down to a weight of 1e-6 on the inner point."""
+    vs = polygon.vertices
+    k = len(vs)
+    inside = _combine(vs, [rng.random() for _ in vs])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return inside
+    eps = 10.0 ** -rng.uniform(1, 6)
+    if kind == 1:
+        j = rng.randrange(k)
+        t = rng.uniform(0.02, 0.98)
+        on_edge = _combine([vs[j], vs[(j + 1) % k]], [t, 1 - t])
+        return _combine([on_edge, inside], [1 - eps, eps])
+    return _combine([vs[rng.randrange(k)], inside], [1 - eps, eps])
+
+
+LOCATE_CHARTS = [
+    (5, (2, 2, 2, 2, 2), 7),
+    (3, (2, 3, 8), 12),
+    (4, (2, 4, 2, 6), 6),
+    (3, (3, 3, 4), 8),
+]
+
+
+@pytest.mark.parametrize("k,m,radius", LOCATE_CHARTS)
+def test_locate_matches_scan_oracle(k, m, radius):
+    real = gr.realize(CoxeterBall(validate(k, m), radius))
+    ball = real.ball
+    polygon = real.polygon
+    refl = [gr.reflection_matrix(u) for u in real.base_normals]
+    rng = random.Random(100 * k + radius)
+    # inside: a sampled chamber's own point, often close to its boundary
+    for _ in range(300):
+        c = rng.randrange(len(ball))
+        p = gr.mat_apply(real.matrices[c], _base_sample(polygon, rng))
+        assert gr.locate(real, p) == _scan_locate(real, p) == c
+    # outside: interior points of chambers one or two steps past the ball
+    rim = [(c, g) for c in range(len(ball)) for g in range(k) if ball.rmul[c][g] is None]
+    for _ in range(100):
+        c, g = rng.choice(rim)
+        word = ball.system.canon(ball.words[c] + (g + 1,))
+        M = gr.mat_mul(real.matrices[c], refl[g])
+        h = rng.randrange(k)
+        if rng.random() < 0.5 and len(ball.system.canon(word + (h + 1,))) > len(word):
+            M = gr.mat_mul(M, refl[h])
+        assert len(word) > radius
+        vs = polygon.vertices
+        inner = _combine(vs + [(1.0, 0.0, 0.0)], [rng.uniform(0.2, 1.0) for _ in vs] + [1.0])
+        p = gr.mat_apply(M, inner)
+        assert gr.locate(real, p) is None
+        assert _scan_locate(real, p) is None
+
+
+# ---------------------------------------------------------------------------
 # tracing
 # ---------------------------------------------------------------------------
 

@@ -229,6 +229,79 @@ def test_boundary_gromov_stable_under_restart(aG):
     assert mt.boundary_gromov(aG, xi2, eta, 0).value == v0
 
 
+def _ascending_tail_scan(vals, min_tail=2):
+    """Oracle: the least i0 < h - min_tail whose whole tail square is
+    constant, found by checking every tail; (value, i0) or None."""
+    h = len(vals)
+    for i0 in range(h - min_tail):
+        tail = [vals[i][j] for i in range(i0, h) for j in range(i0, h)]
+        if all(v == tail[0] for v in tail):
+            return tail[0], i0
+    return None
+
+
+def _expect_stable(vals):
+    value, index = mt._stable_tail(vals)
+    return (value, index) if index < len(vals) - 2 else None
+
+
+def test_stable_tail_matches_ascending_scan_on_built_tables():
+    rng = random.Random(11)
+    for _ in range(2000):
+        h = rng.randint(3, 9)
+        i_true = rng.randrange(h)
+        v = rng.choice([0, 1, 2])
+        # constant from i_true on; entries before it mostly, not always, differ
+        vals = [
+            [v if min(i, j) >= i_true else rng.choice([v, v, 1, 3]) for j in range(h)]
+            for i in range(h)
+        ]
+        assert _expect_stable(vals) == _ascending_tail_scan(vals)
+    # a constant table, one stray corner, a stray entry below the diagonal
+    assert mt._stable_tail([[5] * 4 for _ in range(4)]) == (5, 0)
+    assert mt._stable_tail([[1, 1, 1], [1, 1, 1], [1, 1, 2]]) == (2, 2)
+    assert _ascending_tail_scan([[1, 1, 1], [1, 1, 1], [1, 1, 2]]) is None
+    vals = [[0] * 5 for _ in range(5)]
+    vals[2][1] = 7
+    assert mt._stable_tail(vals) == _ascending_tail_scan(vals) == (0, 2)
+
+
+@pytest.mark.parametrize("which", ["apartment", "building"])
+def test_boundary_gromov_matches_ascending_scan_on_rays(which, aG, bG):
+    G = aG if which == "apartment" else bG
+    chart = mt.chart_for(G)
+    rng = random.Random(12)
+    inr = chart.realized.polygon.inradius
+    compared = stabilized = 0
+    while compared < 24:
+        th0 = rng.uniform(0, 2 * math.pi)
+        base = gr._normalize_point(gr.geodesic_point(
+            ORIGIN, (0.0, math.cos(th0), math.sin(th0)), rng.uniform(0, 0.5) * inr))
+        xi = _ray(chart, base, rng.uniform(0, 2 * math.pi))
+        eta = _ray(chart, ORIGIN, rng.uniform(0, 2 * math.pi))
+        C = rng.choice(_inner(G)[:6])
+        try:
+            Ci, Dj = xi.chamber_sequence(), eta.chamber_sequence()
+        except (gr.NearVertex, gr.LeftBall):
+            continue
+        h = min(len(Ci), len(Dj))
+        vals = [
+            [(G.wall_sum(Ci[i], C) + G.wall_sum(Dj[j], C)
+              - G.wall_sum(Ci[i], Dj[j])).halve() for j in range(h)]
+            for i in range(h)
+        ]
+        want = _ascending_tail_scan(vals) if h >= 3 else None
+        if want is None:
+            with pytest.raises(mt.NoStabilization):
+                mt.boundary_gromov(G, xi, eta, C)
+        else:
+            got = mt.boundary_gromov(G, xi, eta, C)
+            assert (got.value, got.index, got.horizon) == (*want, h)
+            stabilized += 1
+        compared += 1
+    assert stabilized >= 12
+
+
 # ---------------------------------------------------------------------------
 # Busemann cocycles
 # ---------------------------------------------------------------------------
