@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chamber import RationalAngle, area
-from .coxeter import CoxeterSystem, ResourceCap, boundary_components
+from .coxeter import CoxeterSystem, ResourceCap
 
 
 class TouchesBoundary(ValueError):
@@ -744,19 +744,6 @@ def support_disk(ball, circle):
 
 def _is_right_triangle(spec):
     return spec.k == 3 and 2 in spec.m
-
-
-def _type2_labels(spec):
-    """Edge-label components whose walls pass through m=3 vertices."""
-    comps = boundary_components(spec)
-    out = set()
-    for comp in comps:
-        # the wall through these labels crosses the vertices joining them
-        for j in range(1, spec.k + 1):
-            a, b = j, j % spec.k + 1
-            if spec.m[j - 1] == 3 and a in comp and b in comp:
-                out.update(comp)
-    return out
 
 
 def _entry_order(entry):

@@ -128,10 +128,6 @@ class ChamberSpec:
         """Thickness parameter of edge label i (1-based)."""
         return self.q[i - 1]
 
-    def vertex_labels(self, j):
-        """The two edge labels meeting at vertex j: {j, j+1 cyclically}."""
-        return (j, j % self.k + 1)
-
     def is_thick(self):
         return all(qi >= 2 for qi in self.q)
 

@@ -8,7 +8,8 @@ Every subcommand prints one JSON report to stdout:
 Exit codes: 0 when all verdicts pass, 1 when a verification fails,
 2 on usage or input-format errors, 3 when a computation ran out of
 horizon or numerical precision (an ArithmeticError such as
-NoStabilization or NoConvergence; the report's witnesses name it).
+NoStabilization or NoConvergence) or hit a ResourceCap; the report's
+witnesses name the error.
 All randomized experiments take --seed; identical config and seed give
 byte-identical reports.
 """
@@ -27,7 +28,7 @@ from . import geomrender as gr
 from . import metrics as mt
 from . import rabuilding as rb
 from .chamber import ChamberError, area, parse_chamber_string, validate
-from .coxeter import CoxeterBall, export_complex, wall_type
+from .coxeter import CoxeterBall, ResourceCap, export_complex, wall_type
 from .weights import WeightVector
 
 
@@ -228,7 +229,7 @@ def _cmd_building(args, config):
     for _ in range(args.samples):
         d = rng.randrange(len(b.words))
         img = rho(b.words[d])
-        pos = A.position_of(img, b.system)
+        pos = A.position_of(img)
         if pos is None:
             failures.append({"chamber": list(b.words[d]), "reason": "image off apartment"})
         if len(img) > len(b.words[d]):
@@ -505,8 +506,9 @@ def main(argv=None):
     except (ChamberError, UsageError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except ArithmeticError as exc:
-        # the ray horizon or the numerics ran out: a report, not a traceback
+    except (ArithmeticError, ResourceCap) as exc:
+        # the ray horizon, the numerics or a resource cap ran out: a
+        # report, not a traceback
         command = args.command if args.sub == args.command else "%s %s" % (args.command, args.sub)
         report = _emit(command, config,
                        witnesses=[{"error": type(exc).__name__, "message": str(exc)}])

@@ -311,14 +311,14 @@ def realize(ball):
 
 
 def _check_shared_edges(realized):
-    ball = realized.ball
+    """Both chambers of every adjacency must put the two endpoints of
+    their shared edge at the same points."""
+    ball, matrices = realized.ball, realized.matrices
+    k, vertices = ball.spec.k, realized.polygon.vertices
     for c1, c2, label in ball.adjacency():
-        v1 = realized.chamber_vertices(c1)
-        v2 = realized.chamber_vertices(c2)
-        k = ball.spec.k
-        ia, ib = (label - 2) % k, label - 1
-        pts1 = {_round_pt(v1[ia]), _round_pt(v1[ib])}
-        pts2 = {_round_pt(v2[ia]), _round_pt(v2[ib])}
+        ends = (vertices[(label - 2) % k], vertices[label - 1])
+        pts1 = {_round_pt(mat_apply(matrices[c1], v)) for v in ends}
+        pts2 = {_round_pt(mat_apply(matrices[c2], v)) for v in ends}
         if pts1 != pts2:
             raise ToleranceFail(
                 "chambers %d,%d disagree on shared edge %d" % (c1, c2, label)

@@ -188,14 +188,14 @@ class ApartmentChart:
         ball = self.graph.ball
         if self.coloring is None:
             return ball.index.get(w)
-        return ball.index.get(self.coloring.alpha(w, ball.system))
+        return ball.index.get(self.coloring.alpha(w))
 
 
 def chart_for(graph, chart_radius=None, coloring=None):
     radius = chart_radius if chart_radius is not None else graph.ball.radius + 3
     realized = realized_apartment(graph.spec, radius)
     if isinstance(graph.ball, rb.BuildingBall) and coloring is None:
-        coloring = rb.ApartmentColoring(spec=graph.spec, base=(), colors={})
+        coloring = rb.ApartmentColoring(system=graph.ball.system, base=(), colors={})
     return ApartmentChart(graph, realized, coloring)
 
 
@@ -522,7 +522,7 @@ def _panel_charts(G, chart, chart_chamber, label):
     base_host = chart.to_host(chart_chamber)
     out = []
     for color in range(1, G.spec.q[label - 1] + 1):
-        word = rb.normal_form(ball.words[base_host] + ((label, color),), G.spec)
+        word = rb.append_letter(ball.words[base_host], (label, color), G.spec)
         target = ball.index.get(word)
         if target is None:
             continue
@@ -547,7 +547,7 @@ def _rebase(G, chart, coloring, chart_chamber):
     sysc = G.ball.system
     w = chart.realized.ball.words[chart_chamber]
     winv = sysc.canon(tuple(reversed(w)))
-    base = coloring.alpha(winv, sysc)
+    base = coloring.alpha(winv)
     new_colors = {}
     for refl, col in coloring.colors.items():
         moved = sysc.canon(w + refl + winv)
@@ -557,7 +557,7 @@ def _rebase(G, chart, coloring, chart_chamber):
     through = rb.apartment_through(G.ball, base, coloring.base)
     merged = dict(through.colors)
     merged.update(new_colors)
-    return rb.ApartmentColoring(spec=G.spec, base=base, colors=merged)
+    return rb.ApartmentColoring(system=sysc, base=base, colors=merged)
 
 
 def _skeleton_quadruples(G, label, samples, rng):

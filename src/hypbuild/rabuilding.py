@@ -8,6 +8,12 @@ A chamber is a ``colored word``: a tuple of letters ``(i, c)`` with
 ``i`` an edge label and ``c`` a nonzero color modulo ``q_i + 1``; the
 base chamber is the empty word.
 
+Chambers are kept in the lexicographic normal form of the graph
+product (Hermiller-Meier; Anisimov-Knuth for the commutation part).
+Every path that moves from a chamber to a neighbor (ball growth, the
+multiplication tables, panels, apartments) takes one step,
+`append_letter`, which right-multiplies a normal form by one letter.
+
 The module provides canonical normal forms, finite balls with their
 labeled cells, the W-valued distance, deterministic apartments through
 any two chambers, the retraction onto an apartment centered at one of
@@ -20,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .chamber import ChamberSpec
 from .coxeter import ChamberComplex, CoxeterSystem, ResourceCap
 
 
@@ -51,65 +56,50 @@ def check_right_angled(spec):
 # normal forms
 # ---------------------------------------------------------------------------
 
+def append_letter(word, letter, spec):
+    """Normal form of word * letter, for a word already in normal form.
+
+    The letters at the end of the word whose labels commute with the new
+    label i form its commuting suffix.  A letter of label i just before
+    that suffix absorbs the new color, and is deleted if the colors
+    cancel.  Otherwise the new letter goes into the suffix before the
+    first label greater than i, which keeps the word lexicographically
+    least.
+
+    Deleting the letter needs no further rewriting: every suffix letter
+    commutes with it, so a merge or a reordering that the deletion
+    allowed would already have been allowed across it.
+    """
+    i, c = letter
+    c %= spec.q[i - 1] + 1
+    if not c:
+        return word
+    k = spec.k
+    p = len(word)
+    while p and _cyc_adjacent(word[p - 1][0], i, k):
+        p -= 1
+    if p and word[p - 1][0] == i:
+        c = (word[p - 1][1] + c) % (spec.q[i - 1] + 1)
+        return word[: p - 1] + (((i, c),) if c else ()) + word[p:]
+    while p < len(word) and word[p][0] < i:
+        p += 1
+    return word[:p] + ((i, c),) + word[p:]
+
+
 def normal_form(word, spec):
     """Canonical normal form of a colored word.
 
-    Rewrites to a fixpoint: adjacent letters with the same label merge
-    (colors add modulo q_i + 1, identity color deleted); adjacent letters
-    whose labels commute (cyclically adjacent edges, m = 2) are sorted by
-    label.  The result is the unique label-sorted shortest representative;
-    two colored words denote the same chamber iff their normal forms match.
+    Colors add modulo q_i + 1 and letters of cyclically adjacent labels
+    commute (m = 2).  The normal form is the shortest representative
+    that is least in label order; two colored words denote the same
+    chamber iff their normal forms match.  It is built by appending the
+    letters one at a time with `append_letter`.
     """
-    k = spec.k
-    cleaned = []
-    for (i, c) in word:
-        if not 1 <= i <= k:
-            raise BuildingError("FormatError", "letter label %r out of range" % (i,))
-        c = c % (spec.q[i - 1] + 1)
-        if c:
-            cleaned.append((i, c))
-    # extraction passes until stable: a cancellation deep in the word can
-    # expose merges across the part already emitted, so rerun after any
-    # pass that shortened the word
-    out = cleaned
-    while True:
-        prev = out
-        out = _extract_pass(prev, spec)
-        if len(out) == len(prev):
-            return tuple(out)
-
-
-def _extract_pass(letters, spec):
-    """One front-extraction pass: repeatedly pull out the smallest label
-    whose first letter commutes to the front, merging every same-label
-    letter that can reach it."""
-    k = spec.k
-    rest = list(letters)
-    out = []
-    while rest:
-        # indices whose first letter can commute to the front
-        candidates = {}
-        for p, (i, _c) in enumerate(rest):
-            if i in candidates:
-                continue
-            if all(j != i and _cyc_adjacent(j, i, k) for (j, _d) in rest[:p]):
-                candidates[i] = p
-        i = min(candidates)
-        c = rest.pop(candidates[i])[1]
-        # merge every later same-index letter that can also reach the front
-        merged = True
-        while merged:
-            merged = False
-            for p2, (j, d) in enumerate(rest):
-                if j == i and all(
-                    _cyc_adjacent(jj, i, k) for (jj, _dd) in rest[:p2]
-                ):
-                    c = (c + d) % (spec.q[i - 1] + 1)
-                    rest.pop(p2)
-                    merged = True
-                    break
-        if c:
-            out.append((i, c))
+    out = ()
+    for letter in word:
+        if not 1 <= letter[0] <= spec.k:
+            raise BuildingError("FormatError", "letter label %r out of range" % (letter[0],))
+        out = append_letter(out, letter, spec)
     return out
 
 
@@ -154,15 +144,15 @@ class BuildingBall(ChamberComplex):
     # -- chambers -------------------------------------------------------
 
     def _build_chambers(self, cap):
-        spec = self.spec
+        spec, letters = self.spec, self._letters
         frontier = [()]
         seen = {(): 0}
         order = [[()]]
         for n in range(1, self.radius + 1):
             nxt = []
             for w in frontier:
-                for letter in self._letters:
-                    v = normal_form(w + (letter,), spec)
+                for letter in letters:
+                    v = append_letter(w, letter, spec)
                     if len(v) == n and v not in seen:
                         seen[v] = n
                         nxt.append(v)
@@ -174,19 +164,18 @@ class BuildingBall(ChamberComplex):
             order.append(nxt)
             frontier = nxt
         self.words = [w for level in order for w in level]
-        self.index = {w: i for i, w in enumerate(self.words)}
+        index = self.index = {w: i for i, w in enumerate(self.words)}
         self.sphere_counts = [len(level) for level in order]
-        # right multiplication tables: rmul[c][letter] -> index or None
-        self.rmul = []
-        for w in self.words:
-            row = {}
-            for letter in self._letters:
-                row[letter] = self.index.get(normal_form(w + (letter,), self.spec))
-            self.rmul.append(row)
+        # right multiplication tables: rmul[c][n] is the index of
+        # words[c] * _letters[n], or None outside the ball
+        self.rmul = [
+            [index.get(append_letter(w, letter, spec)) for letter in letters]
+            for w in self.words
+        ]
 
     def neighbors(self, idx):
         """Yield (neighbor index, label) over in-ball panel moves."""
-        for (i, c), j in self.rmul[idx].items():
+        for (i, _c), j in zip(self._letters, self.rmul[idx]):
             if j is not None:
                 yield j, i
 
@@ -199,21 +188,9 @@ class BuildingBall(ChamberComplex):
     def panel(self, c, label):
         """All chambers of the panel of chamber c across edge `label`
         (normal forms, whether or not they lie in the ball)."""
-        spec = self.spec
-        word = self.words[c]
-        base = normal_form(word + ((label, 1),), spec)
-        if len(base) <= len(word):
-            # word ends (up to commutation) in a letter of this label:
-            # strip it to reach the minimal panel representative
-            stripped = normal_form(
-                word + ((label, -_color_of(word, label, spec)),), spec
-            )
-        else:
-            stripped = word
-        members = [stripped]
-        for col in range(1, spec.q[label - 1] + 1):
-            members.append(normal_form(stripped + ((label, col),), spec))
-        return members
+        word, spec = self.words[c], self.spec
+        cols = range(spec.q[label - 1] + 1)
+        return [append_letter(word, (label, col), spec) for col in cols]
 
     def _vertex_size(self, j):
         a, b = j, j % self.spec.k + 1
@@ -234,18 +211,6 @@ class BuildingBall(ChamberComplex):
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}, color
 
 
-def _color_of(word, label, spec):
-    """Color of the trailing letter of this label that is movable to the
-    end of the word by commutations (the word must have one)."""
-    k = spec.k
-    for (i, c) in reversed(word):
-        if i == label:
-            return c
-        if not _cyc_adjacent(i, label, k):
-            raise BuildingError("Internal", "no trailing letter of label %d" % label)
-    raise BuildingError("Internal", "no letter of label %d" % label)
-
-
 def ball(spec, radius, chamber_cap=2_000_000):
     return BuildingBall(spec, radius, chamber_cap=chamber_cap)
 
@@ -261,33 +226,25 @@ class ApartmentColoring:
     chamber (canonical reduced words); walls without an entry carry the
     default color 1.  The embedding alpha is W-distance preserving."""
 
-    spec: ChamberSpec
+    system: CoxeterSystem
     base: tuple
     colors: dict = field(default_factory=dict)
 
-    def _system(self):
-        return CoxeterSystem(self.spec)
-
-    def alpha(self, w, system=None):
+    def alpha(self, w):
         """Chamber of the building at apartment position w (a Coxeter
         word; any representative works)."""
-        system = system or self._system()
+        system = self.system
         word = system.canon(tuple(w))
         out = tuple(self.base)
-        prefix = ()
-        for i in word:
-            refl = system.canon(prefix + (i,) + tuple(reversed(prefix)))
-            c = self.colors.get(refl, 1)
-            out = normal_form(out + ((i, c),), self.spec)
-            prefix = prefix + (i,)
+        for i, refl in zip(word, system.inversions(word)):
+            out = append_letter(out, (i, self.colors.get(refl, 1)), system.spec)
         return out
 
-    def position_of(self, chamber, system=None):
+    def position_of(self, chamber):
         """Apartment coordinate w with alpha(w) = chamber, or None if the
         chamber does not lie on this apartment."""
-        system = system or self._system()
-        w = wdist(self.base, chamber, self.spec, system)
-        return w if self.alpha(w, system) == tuple(chamber) else None
+        w = wdist(self.base, chamber, self.system.spec, self.system)
+        return w if self.alpha(w) == tuple(chamber) else None
 
     def to_pairs(self):
         """Serializable form: sorted (wall-word, color) pairs."""
@@ -299,26 +256,23 @@ def apartment_through(ball, C, C_prime):
     off the unique normal-form gallery from C to C', default 1 elsewhere."""
     spec, system = ball.spec, ball.system
     delta = normal_form(inverse_word(C, spec) + tuple(C_prime), spec)
-    colors = {}
-    prefix = ()
-    for (i, c) in delta:
-        refl = system.canon(prefix + (i,) + tuple(reversed(prefix)))
-        colors[refl] = c
-        prefix = prefix + (i,)
-    return ApartmentColoring(spec=spec, base=tuple(C), colors=colors)
+    # the labels of a normal form are already the ShortLex word of W
+    labels = tuple(i for (i, _c) in delta)
+    colors = {refl: c for refl, (_i, c) in zip(system.inversions(labels), delta)}
+    return ApartmentColoring(system=system, base=tuple(C), colors=colors)
 
 
 def retraction(ball, A, C):
     """The retraction onto apartment A centered at chamber C (which must
     lie on A): maps chamber D to alpha(w_C * wdist(C, D))."""
     spec, system = ball.spec, ball.system
-    w_C = A.position_of(C, system)
+    w_C = A.position_of(C)
     if w_C is None:
         raise BuildingError("NotOnApartment", "center chamber not on the apartment")
 
     def retract(D):
         delta = wdist(C, D, spec, system)
-        return A.alpha(system.canon(w_C + delta), system)
+        return A.alpha(system.canon(w_C + delta))
 
     return retract
 

@@ -129,6 +129,22 @@ def test_genpoly_construct_and_verify_roundtrip(capsys, tmp_path):
     assert rep["verdicts"] == [{"name": "polygon", "pass": True}]
 
 
+def test_resource_cap_is_a_report_with_exit_3(capsys, monkeypatch):
+    ball = cli.rb.ball
+    monkeypatch.setattr(
+        cli.rb, "ball", lambda spec, radius: ball(spec, radius, chamber_cap=20)
+    )
+    code, rep = run(
+        capsys, "building", "ball", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+        "--radius", "3",
+    )
+    assert code == 3
+    assert rep["command"] == "building ball"
+    assert rep["witnesses"] == [
+        {"error": "ResourceCap", "message": "building ball exceeds 20 chambers"}
+    ]
+
+
 def test_building_retract_passes(capsys):
     code, rep = run(
         capsys, "building", "retract", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hypbuild import genpoly, rabuilding as rb
+from hypbuild.chamber import validate
 from hypbuild.coxeter import CoxeterBall, export_complex
 
 
@@ -14,6 +15,116 @@ def bb3(pentagon_thick):
 # ---------------------------------------------------------------------------
 # normal forms
 # ---------------------------------------------------------------------------
+
+def _oracle_normal_form(word, spec):
+    """Independent normal form: rewrite the whole word by front-extraction
+    passes until a pass no longer shortens it."""
+    out = [(i, c % (spec.q[i - 1] + 1)) for (i, c) in word]
+    out = [(i, c) for (i, c) in out if c]
+    while True:
+        prev = out
+        out = _extract_pass(prev, spec)
+        if len(out) == len(prev):
+            return tuple(out)
+
+
+def _extract_pass(letters, spec):
+    """One front-extraction pass: repeatedly pull out the smallest label
+    whose first letter commutes to the front, merging every same-label
+    letter that can reach it."""
+    k = spec.k
+    rest = list(letters)
+    out = []
+    while rest:
+        # indices whose first letter can commute to the front
+        candidates = {}
+        for p, (i, _c) in enumerate(rest):
+            if i in candidates:
+                continue
+            if all(j != i and rb._cyc_adjacent(j, i, k) for (j, _d) in rest[:p]):
+                candidates[i] = p
+        i = min(candidates)
+        c = rest.pop(candidates[i])[1]
+        # merge every later same-index letter that can also reach the front
+        merged = True
+        while merged:
+            merged = False
+            for p2, (j, d) in enumerate(rest):
+                if j == i and all(
+                    rb._cyc_adjacent(jj, i, k) for (jj, _dd) in rest[:p2]
+                ):
+                    c = (c + d) % (spec.q[i - 1] + 1)
+                    rest.pop(p2)
+                    merged = True
+                    break
+        if c:
+            out.append((i, c))
+    return out
+
+
+def _panel_by_stripping(word, label, spec):
+    """The panel of `word` across `label`: strip a trailing letter of that
+    label (one that commutes to the end) to reach the least member, then
+    append every color to it."""
+    stripped = word
+    for (i, c) in reversed(word):
+        if i == label:
+            stripped = _oracle_normal_form(word + ((label, -c),), spec)
+            break
+        if not rb._cyc_adjacent(i, label, spec.k):
+            break
+    return sorted(
+        [stripped]
+        + [
+            _oracle_normal_form(stripped + ((label, col),), spec)
+            for col in range(1, spec.q[label - 1] + 1)
+        ]
+    )
+
+
+@pytest.mark.parametrize("k, q", [
+    (5, (2, 2, 2, 2, 2)),
+    (5, (3, 2, 4, 2, 3)),
+    (6, (2,) * 6),
+    (7, (3,) * 7),
+])
+def test_normal_form_matches_oracle(k, q):
+    spec = validate(k, (2,) * k, q)
+    rng = random.Random(k * 100 + sum(q))
+    for _ in range(1500):
+        w = [
+            (rng.randint(1, k), rng.randint(-3, 5))
+            for _ in range(rng.randint(0, 30))
+        ]
+        assert rb.normal_form(w, spec) == _oracle_normal_form(w, spec), w
+
+
+def test_append_letter_matches_oracle_on_ball(bb3):
+    spec = bb3.spec
+    for w in bb3.words:
+        for letter in bb3._letters:
+            assert rb.append_letter(w, letter, spec) == _oracle_normal_form(
+                w + (letter,), spec
+            )
+
+
+def test_panel_matches_stripping(bb3):
+    spec = bb3.spec
+    for c, w in enumerate(bb3.words):
+        for label in range(1, spec.k + 1):
+            assert sorted(bb3.panel(c, label)) == _panel_by_stripping(w, label, spec)
+
+
+def test_normal_form_labels_are_shortlex(bb3):
+    # apartment_through reads its walls off these label words directly
+    for w in bb3.words:
+        labels = tuple(i for (i, _c) in w)
+        assert bb3.system.canon(labels) == labels
+
+
+def test_normal_form_rejects_bad_label(pentagon_thick):
+    with pytest.raises(rb.BuildingError):
+        rb.normal_form(((1, 1), (6, 1)), pentagon_thick)
 
 def test_normal_form_examples(pentagon_thick):
     spec = pentagon_thick
