@@ -22,10 +22,17 @@ Two independent engines are provided and cross-checked:
 * a brute-force enumerator of edge-connected chamber sets filtered to
   convex disks (every boundary vertex angle <= pi).
 
-Chambers are identified exactly by their ShortLex words: the
-tessellation is grown lazily, and the chamber across edge g of chamber
-w is the chamber of canon(w g) (coxeter.CoxeterSystem.canon), so no
-float decides whether two chambers are the same.
+The search runs on integers only: corner angles are counted in units
+of pi/L with L = lcm(m), so the cap and the closing test d = n * A0 are
+an integer quotient and a divisibility test.
+
+The tessellation is grown lazily.  A chamber w is identified exactly by
+its point w(x0) in root coordinates, integer pairs a + b*sqrt(2): the
+chamber across edge g is found from w's root matrix, that of w s_g, by
+a lookup on its point, and a new chamber's ShortLex word is read by
+stripping least left descents off its point until it reaches a known
+chamber (coxeter.CoxeterSystem.times_generator and shortlex_prefix).
+No float decides whether two chambers are the same.
 
 Isomorphism classes are label-preserving: the symmetry group of the
 labeled tessellation acts simply transitively on chambers, so a class
@@ -39,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .chamber import RationalAngle, area
 from .coxeter import CoxeterSystem, ResourceCap
@@ -58,16 +66,26 @@ class NotADisk(ValueError):
 
 class Tessellation:
     """The full chamber tessellation, grown on demand.  Chambers are
-    integer ids keyed by their ShortLex words; chamber 0 is the base
-    chamber."""
+    integer ids; chamber 0 is the base chamber.  `words` holds each
+    chamber's ShortLex word and `rmul[c][g - 1]` the chamber across edge
+    g of chamber c, once stepped.
+
+    A chamber w is keyed by its exact point w(x0) in root coordinates.
+    While w still has an unknown neighbour, its root matrix is kept; the
+    neighbour across g has the matrix of w s_g and is found by a lookup
+    on its point (CoxeterSystem.times_generator).  A new chamber's word is
+    read by stripping least left descents off its point only until the
+    point is a known chamber's (CoxeterSystem.shortlex_prefix)."""
 
     def __init__(self, spec):
         self.spec = spec
         self.k = spec.k
         self.system = CoxeterSystem(spec)
+        cols, point = self.system.identity_matrix()
         self.words = [()]
-        self.index = {(): 0}
         self.rmul = [[None] * spec.k]
+        self._ids = {point: 0}  # point -> chamber id
+        self._open = {0: (cols, point)}  # root matrix and point, until rmul[c] is full
         self._vcache = {}
 
     def __len__(self):
@@ -79,28 +97,25 @@ class Tessellation:
         cached = row[g - 1]
         if cached is not None:
             return cached
-        word = self.system.canon(self.words[c] + (g,))
-        idx = self.index.get(word)
-        if idx is None:
+        system = self.system
+        cols, point = system.times_generator(*self._open[c], g)
+        prefix, known = system.shortlex_prefix(point, self._ids)
+        if prefix:
             idx = len(self.words)
-            self.words.append(word)
-            self.index[word] = idx
-            self.rmul.append([None] * self.spec.k)
+            self.words.append(tuple(prefix) + self.words[known])
+            self._ids[point] = idx
+            self.rmul.append([None] * self.k)
+            self._open[idx] = (cols, point)
+        else:
+            idx = known
         row[g - 1] = idx
-        self.rmul[idx][g - 1] = c
+        back = self.rmul[idx]
+        back[g - 1] = c
+        if None not in row:
+            del self._open[c]
+        if None not in back:
+            del self._open[idx]
         return idx
-
-    def edge(self, c, g):
-        """The 1-skeleton edge crossed between c and its g-neighbor,
-        as (lo, hi, label)."""
-        d = self.step(c, g)
-        return (min(c, d), max(c, d), g)
-
-    def edge_label(self, lo, hi):
-        for g in range(1, self.k + 1):
-            if self.step(lo, g) == hi:
-                return g
-        raise KeyError("chambers %d, %d share no edge" % (lo, hi))
 
     def vertex(self, c, j):
         """The vertex of chamber c between edges j and j+1 (cyclic):
@@ -119,17 +134,23 @@ class Tessellation:
             chams.append(cur)
         if self.step(cur, b) != c:
             raise ArithmeticError("vertex cycle failed to close")
+        # labels[t] is the label of the edge between chambers t-1 and t
+        labels = [b, a] * m
         # normalize: rotate to the least chamber, direction toward the
         # smaller neighbor, so the record is canonical for the vertex
         i0 = chams.index(min(chams))
         rot = chams[i0:] + chams[:i0]
+        labels = labels[i0:] + labels[:i0]
         rev = [rot[0]] + list(reversed(rot[1:]))
         if rev[1] < rot[1]:
             rot = rev
+            # reversed, the edge between chambers t-1 and t is the edge
+            # that ended at position 1-t
+            labels = [labels[(1 - t) % (2 * m)] for t in range(2 * m)]
         edges = []
         for t in range(2 * m):
             x, y = rot[t - 1], rot[t]
-            edges.append((min(x, y), max(x, y), self.edge_label(min(x, y), max(x, y))))
+            edges.append((min(x, y), max(x, y), labels[t]))
         rec = {
             "key": (rot[0], j),
             "j": j,
@@ -459,30 +480,36 @@ def _side_search(spec, n_corners, caps=None):
     """Enumerate all classes of circle triangles (n_corners=3) or
     quadrilaterals (n_corners=4): corners at vertex-orbit
     representatives, sides forced straight, turns on the interior side,
-    pruned by the exact chamber-count cap n <= d/A0."""
+    pruned by the exact chamber-count cap n <= d/A0.
+
+    Angles are integers in units of pi/L, L = lcm(m), so a turn by t at
+    a vertex of gonality m is t * L/m units; with A0 = a0n/a0d (times
+    pi) the cap n <= d/A0 is the integer quotient d * a0d // (L * a0n)."""
     caps = _caps_for(spec, n_corners, caps)
     n_max = caps["n_max"]
     if n_max < 1:
         return {}
     T = tessellation(spec)
     a0 = area(spec).fraction
-    min_angle = Fraction(1, max(spec.m))
+    L = lcm(*spec.m)
+    full = (n_corners - 2) * L  # the angle sum (l - 2) * pi, in units
+    min_angle = L // max(spec.m)
+    num, den = a0.denominator, L * a0.numerator  # n = d * num / den
     shape = "triangle" if n_corners == 3 else "quadrilateral"
     results = {}
     steps = [0]
     step_cap = caps["step_cap"]
 
     def n_cap_for(angle_sum, corners_left):
-        d_max = (n_corners - 2) - angle_sum - corners_left * min_angle
-        if d_max <= 0:
+        d = full - angle_sum - corners_left * min_angle
+        if d <= 0:
             return -1
-        return int(d_max / a0)
+        return d * num // den
 
     def edge_cap(ncap):
         return (spec.k - 2) * ncap + 2
 
-    def try_close(v0rec, p0, start_left, in_edge, left_ch, interior,
-                  angle_sum, side_len, sides, corner_list):
+    def try_close(v0rec, p0, start_left, in_edge, left_ch, interior, angle_sum):
         rec = v0rec
         m = rec["m"]
         p_in = rec["pos"].get(in_edge)
@@ -505,15 +532,12 @@ def _side_search(spec, n_corners, caps=None):
             swept = [rec["chams"][(p_in - 1 - i) % n2] for i in range(t0)]
         else:
             return
-        angle0 = Fraction(t0, m)
-        total = angle_sum + angle0
-        d_frac = (n_corners - 2) - total
-        if d_frac <= 0:
+        d = full - angle_sum - t0 * (L // m)
+        if d <= 0:
             return
-        n_target = d_frac / a0
-        if n_target.denominator != 1:
+        n_target, rest = divmod(d * num, den)
+        if rest:
             return
-        n_target = int(n_target)
         inter = set(interior)
         inter.update(swept)
         if len(inter) > n_target:
@@ -527,7 +551,7 @@ def _side_search(spec, n_corners, caps=None):
             results[entry.key] = entry
 
     def walk(head_rec, in_edge, left_ch, corners_left, interior, angle_sum,
-             side_len, sides, visited, v0rec, p0, start_left, corner_list):
+             visited, v0rec, p0, start_left):
         steps[0] += 1
         if steps[0] > step_cap:
             raise ResourceCap("side search exceeded %d steps" % step_cap)
@@ -535,7 +559,7 @@ def _side_search(spec, n_corners, caps=None):
         if key == v0rec["key"]:
             if corners_left == 1:
                 try_close(v0rec, p0, start_left, in_edge, left_ch, interior,
-                          angle_sum, side_len, sides, corner_list)
+                          angle_sum)
             return
         if key in visited:
             return
@@ -570,9 +594,11 @@ def _side_search(spec, n_corners, caps=None):
                 out_edge = head_rec["edges"][(p - t) % n2]
                 new_left = head_rec["chams"][(p - t) % n2]
             new_interior = interior | set(swept)
-            is_corner = t < m
-            new_angle = angle_sum + (Fraction(t, m) if is_corner else 0)
-            new_corners_left = corners_left - (1 if is_corner else 0)
+            if t < m:  # a corner
+                new_angle = angle_sum + t * (L // m)
+                new_corners_left = corners_left - 1
+            else:
+                new_angle, new_corners_left = angle_sum, corners_left
             ncap2 = n_cap_for(new_angle, new_corners_left)
             if ncap2 < len(new_interior) or ncap2 < 1:
                 continue
@@ -581,10 +607,7 @@ def _side_search(spec, n_corners, caps=None):
             all_edges.append(out_edge)
             walk(
                 nxt, out_edge, new_left, new_corners_left, new_interior,
-                new_angle, (1 if is_corner else side_len + 1),
-                sides + ((side_len,) if is_corner else ()),
-                visited, v0rec, p0, start_left,
-                corner_list + ((head_rec["m"], t),) if is_corner else corner_list,
+                new_angle, visited, v0rec, p0, start_left,
             )
             all_edges.pop()
         visited.discard(key)
@@ -598,8 +621,8 @@ def _side_search(spec, n_corners, caps=None):
             nxt = wa if wa["key"] != v0rec["key"] else wb
             all_edges = [start_edge]
             walk(
-                nxt, start_edge, start_left, n_corners, set(), Fraction(0),
-                1, (), set(), v0rec, p0, start_left, (),
+                nxt, start_edge, start_left, n_corners, set(), 0,
+                set(), v0rec, p0, start_left,
             )
     return results
 

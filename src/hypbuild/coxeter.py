@@ -25,6 +25,12 @@ throughout -- is read off by repeatedly stripping the least left
 descent (Brink-Howlett, Math. Ann. 296, 1993; Casselman, *Automata to
 perform basic calculations in Coxeter groups*, 1994).  A word of length
 n costs O(n k) ring operations to map and as many to strip.
+
+A walk through the tessellation can keep each element's root matrix
+instead of its word: w s_g changes one column of w's matrix, O(k^2)
+ring operations, and the point w s_g (x0) keys it exactly.  Its
+ShortLex word then needs only the descents stripped until the point
+reaches an element whose word is already known.
 """
 
 from __future__ import annotations
@@ -105,21 +111,11 @@ class CoxeterSystem:
             return hit
         k, columns = self.k, self._columns
         xa, xb = [1] * k, [0] * k  # the point x0, as a + b*sqrt(2) per coordinate
-        todo = [s - 1 for s in word]
-        out = []
-        while True:
-            # map x0 to w(x0) letter by letter from the right, then strip
-            # the least left descent until none is left
-            if todo:
-                s = todo.pop()
-            else:
-                for s in range(k):
-                    a, b = xa[s], xb[s]
-                    if (a < 0 if b == 0 else _negative(a, b)):
-                        break
-                else:
-                    break
-                out.append(s + 1)
+        # map x0 to w(x0) letter by letter from the right (the reflection
+        # is inlined here and in _strip: this loop is the word problem's
+        # hot path), then strip the least left descent until none is left
+        for s in reversed(word):
+            s -= 1
             ca, cb = xa[s], xb[s]
             for r, ha, hb in columns[s]:
                 if hb:
@@ -130,9 +126,84 @@ class CoxeterSystem:
                     if cb:
                         xb[r] -= cb * ha
             xa[s], xb[s] = -ca, -cb
-        result = tuple(out)
+        result = tuple(self._strip(xa, xb)[0])
         self._canon_cache[word] = result
         return result
+
+    def _strip(self, xa, xb, known=None):
+        """Strip least left descents off the point (xa, xb), in place,
+        until none is left or the point is a key of `known`.
+
+        Returns the 1-based letters stripped and known's value for the
+        final point (None when no descent is left).  For the point u(x0)
+        the letters stripped are the first letters of ShortLex(u), since
+        ShortLex(u) = s ShortLex(s u) for the least left descent s."""
+        k, columns = self.k, self._columns
+        out = []
+        while True:
+            if known is not None:
+                hit = known.get((*xa, *xb))
+                if hit is not None:
+                    return out, hit
+            for s in range(k):
+                a, b = xa[s], xb[s]
+                if (a < 0 if b == 0 else _negative(a, b)):
+                    break
+            else:
+                return out, None
+            out.append(s + 1)
+            ca, cb = xa[s], xb[s]
+            for r, ha, hb in columns[s]:
+                if hb:
+                    xa[r] -= ca * ha + 2 * cb * hb
+                    xb[r] -= ca * hb + cb * ha
+                else:
+                    xa[r] -= ca * ha
+                    if cb:
+                        xb[r] -= cb * ha
+            xa[s], xb[s] = -ca, -cb
+
+    # -- root matrices ----------------------------------------------------
+
+    def identity_matrix(self):
+        """The root matrix of the identity and its point x0.  A root matrix
+        of w holds its columns w(alpha_j), each a tuple of k integer parts
+        a followed by k parts b of the coordinates a + b*sqrt(2); the point
+        w(x0), their sum, has the same layout and keys w exactly, since x0
+        lies inside the fundamental chamber."""
+        k = self.k
+        cols = tuple(tuple(int(i == j) for i in range(2 * k)) for j in range(k))
+        return cols, (1,) * k + (0,) * k
+
+    def times_generator(self, cols, point, g):
+        """Root matrix and point of w s_g from those of w, in O(k^2) ring
+        operations: only column g changes, to
+        w s_g(alpha_g) = -w(alpha_g) - sum_{r != g} A[r, g] w(alpha_r)."""
+        k = self.k
+        s = g - 1
+        old = cols[s]
+        new = [-x for x in old]
+        for r, ha, hb in self._columns[s]:
+            col = cols[r]
+            if hb:
+                for i in range(k):
+                    a, b = col[i], col[k + i]
+                    new[i] -= ha * a + 2 * hb * b
+                    new[k + i] -= ha * b + hb * a
+            else:
+                for i in range(2 * k):
+                    new[i] -= ha * col[i]
+        new = tuple(new)
+        point = tuple(p - o + n for p, o, n in zip(point, old, new))
+        return cols[:s] + (new,) + cols[s + 1:], point
+
+    def shortlex_prefix(self, point, known):
+        """Strip least left descents off `point` = u(x0) until it is a key
+        of `known` (which must hold x0); returns the letters stripped and
+        known's value for the point reached, so that ShortLex(u) is the
+        letters followed by the ShortLex word of that known element."""
+        k = self.k
+        return self._strip(list(point[:k]), list(point[k:]), known=known)
 
     # -- inversions / walls ---------------------------------------------
 

@@ -350,11 +350,21 @@ def busemann(G, xi, C, D):
     if horizon < _MIN_TAIL + 1:
         raise NoStabilization("ray horizon too short", horizon)
     vals = [G.wall_sum(D, Ci[i]) - G.wall_sum(C, Ci[i]) for i in range(horizon)]
-    for i0 in range(horizon - _MIN_TAIL):
-        tail = vals[i0:]
-        if all(v == tail[0] for v in tail):
-            return tail[0]
-    raise NoStabilization("Busemann value did not stabilize", vals[-3:])
+    value, index = _stable_suffix(vals)
+    if index >= horizon - _MIN_TAIL:
+        raise NoStabilization("Busemann value did not stabilize", vals[-3:])
+    return value
+
+
+def _stable_suffix(vals):
+    """The value and the least index i0 of the constant tail of a
+    sequence, scanned from the last entry down: the one-dimensional
+    form of _stable_tail, in O(h)."""
+    value = vals[-1]
+    index = len(vals) - 1
+    while index > 0 and vals[index - 1] == value:
+        index -= 1
+    return value, index
 
 
 def cross_ratio(G, xi1, xi2, eta1, eta2, C):

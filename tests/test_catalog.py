@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,7 @@ def test_step_cap_enforced(spec238):
         (3, (3, 3, 4), "quadrilateral"),
         (3, (2, 3, 8), "triangle"),
         (3, (2, 4, 8), "quadrilateral"),
+        (3, (2, 3, 8), "quadrilateral"),
     ],
 )
 def test_brute_force_oracle_agrees(k, m, shape):
@@ -209,6 +211,53 @@ def test_tessellation_words_are_shortlex(k, m):
     assert len(T) > 1
     assert all(system.canon(w) == w for w in T.words)
     assert len(set(T.words)) == len(T)
+
+
+@pytest.mark.parametrize("k,m", [(3, (2, 3, 8)), (4, (2, 2, 2, 4))])
+def test_vertex_record_edges_join_their_chambers(k, m):
+    # each edge (lo, hi, label) of a vertex record, labelled from the
+    # record's own cycle walk, is the step from lo across label
+    spec = validate(k, m)
+    cat.enumerate_quads(spec)
+    T = cat.tessellation(spec)
+    assert T._vcache
+    for rec in T._vcache.values():
+        assert {e[2] for e in rec["edges"]} == {rec["j"], rec["j"] % k + 1}
+        for lo, hi, g in rec["edges"]:
+            assert T.step(lo, g) == hi
+
+
+@pytest.mark.parametrize(
+    "k,m",
+    [(3, (2, 3, 8)), (3, (3, 3, 4)), (3, (2, 4, 6)), (4, (2, 2, 2, 3)),
+     (5, (2, 2, 2, 2, 2))],
+)
+def test_tessellation_step_matches_canon_on_random_walks(k, m):
+    # the root-point step against the word problem of a separate system:
+    # a walk that jumps back to a random known chamber whenever its word
+    # passes 60 letters, so it keeps stepping from chambers both with and
+    # without unknown neighbours
+    spec = validate(k, m)
+    T = cat.Tessellation(spec)
+    oracle = CoxeterSystem(spec)
+    rng = random.Random(k * 100 + sum(m))
+    c = longest = 0
+    for _ in range(2500):
+        g = rng.randint(1, k)
+        d = T.step(c, g)
+        assert T.words[d] == oracle.canon(T.words[c] + (g,))
+        c = d
+        longest = max(longest, len(T.words[c]))
+        if len(T.words[c]) > 60:
+            c = rng.randrange(len(T))
+    assert longest >= 40
+    assert len(set(T.words)) == len(T) == len(T._ids)
+    # each chamber's key is the point of its word
+    for point, idx in T._ids.items():
+        cols, x = T.system.identity_matrix()
+        for g in T.words[idx]:
+            cols, x = T.system.times_generator(cols, x, g)
+        assert x == point
 
 
 # ---------------------------------------------------------------------------

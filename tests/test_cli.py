@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from hypbuild import cli
+from hypbuild import catalog as cat, cli
+from hypbuild.chamber import validate
 
 
 def run(capsys, *argv):
@@ -79,6 +80,49 @@ def test_seeded_report_bytes_pinned(capsys, argv, code, digest):
     assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the catalog reports of the benchmark's `cli` workload,
+# measured before the side search ran on integer angles and root points
+PINNED_CATALOG_REPORTS = [
+    (["catalog", "claims", "--chamber", "3;2,3,8"],
+     "df6465a86f40da14e43c26ce8e31d3d8687e8b443c612e987626c160c12d681e"),
+    (["catalog", "claims", "--chamber", "3;2,4,6"],
+     "17d0dc7b776df85c5c17fa9a59af833345230ca588346efca7208a082c2e8083"),
+    (["catalog", "claims", "--chamber", "3;2,4,8"],
+     "0eefaa5dc9334b16a1ecae625a69fd4ae49f1c6261e2a343b689fbdd704acddb"),
+    (["catalog", "claims", "--chamber", "3;2,6,6"],
+     "7adf39312456fd34b61edf8fa0cb807b248bb035084dfd9f428ed54978e15d0c"),
+    (["catalog", "claims", "--chamber", "3;2,6,8"],
+     "5f2ea976eee6282f5baf29cf9f1db66746840fb3c4b082c791654febd2edf477"),
+    (["catalog", "claims", "--chamber", "3;2,8,8"],
+     "e7856de63fe4e0bb54fcd80c7c6b0aafb21763160016c1013a473e9549bf15d4"),
+    (["catalog", "claims", "--chamber", "3;3,3,4"],
+     "5a4b9aae55205ba57239c2a98f89186aba0ae5f8304928ee0dd81b37529ac102"),
+    (["catalog", "triangles", "--chamber", "3;2,3,8"],
+     "1d3bdcf83cd892de5ea7257c305ad459f655f491a7104a7d749077e986bce62b"),
+    (["catalog", "quads", "--chamber", "3;2,3,8"],
+     "9e24c693031f0b67820162efcb2288442e589cd962839999a6decd2a5be13360"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_CATALOG_REPORTS)
+def test_catalog_report_bytes_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_claims_tessellation_pinned(monkeypatch):
+    # the chambers the (2,3,8) claims search grows, in the order it grows
+    # them, from an empty tessellation cache
+    monkeypatch.setattr(cat, "_TESS_CACHE", {})
+    spec = validate(3, (2, 3, 8))
+    cat.claims_check(spec)
+    T = cat.tessellation(spec)
+    assert len(T) == 6068
+    digest = hashlib.sha256(repr(T.words).encode()).hexdigest()
+    assert digest == "654366b9fb6f3bd245c1a927adc2134c11f1cd933edfe267266830d0d9054802"
 
 
 def test_coxeter_ball_counts(capsys):

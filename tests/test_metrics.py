@@ -324,6 +324,64 @@ def test_busemann_cocycle(bG):
         )
 
 
+def _ascending_busemann_scan(vals, min_tail=2):
+    """Oracle: the first entry of the least tail vals[i0:], i0 < h -
+    min_tail, that is constant, found by checking every tail; None when
+    there is none."""
+    for i0 in range(len(vals) - min_tail):
+        tail = vals[i0:]
+        if all(v == tail[0] for v in tail):
+            return tail[0]
+    return None
+
+
+def test_stable_suffix_matches_ascending_scan_on_sequences():
+    rng = random.Random(13)
+    for _ in range(2000):
+        h = rng.randint(1, 9)
+        i_true = rng.randrange(h)
+        v = rng.choice([0, 1, 2])
+        # constant from i_true on; entries before it mostly, not always, differ
+        vals = [v if i >= i_true else rng.choice([v, 1, 3]) for i in range(h)]
+        value, index = mt._stable_suffix(vals)
+        got = value if index < h - 2 else None
+        assert got == _ascending_busemann_scan(vals)
+        assert vals[index:] == [value] * (h - index)
+        assert index == 0 or vals[index - 1] != value
+    assert mt._stable_suffix([4]) == (4, 0)
+    assert mt._stable_suffix([1, 2, 2, 2]) == (2, 1)
+
+
+@pytest.mark.parametrize("which", ["apartment", "building"])
+def test_busemann_matches_ascending_scan_on_rays(which, aG, bG):
+    G = aG if which == "apartment" else bG
+    chart = mt.chart_for(G)
+    rng = random.Random(14)
+    inr = chart.realized.polygon.inradius
+    inner = _inner(G)
+    compared = stabilized = 0
+    while compared < 24:
+        th0 = rng.uniform(0, 2 * math.pi)
+        base = gr._normalize_point(gr.geodesic_point(
+            ORIGIN, (0.0, math.cos(th0), math.sin(th0)), rng.uniform(0, 0.5) * inr))
+        xi = _ray(chart, base, rng.uniform(0, 2 * math.pi))
+        C, D = rng.choice(inner), rng.choice(inner)
+        try:
+            Ci = xi.chamber_sequence()
+        except (gr.NearVertex, gr.LeftBall):
+            continue
+        vals = [G.wall_sum(D, c) - G.wall_sum(C, c) for c in Ci]
+        want = _ascending_busemann_scan(vals) if len(Ci) >= 3 else None
+        if want is None:
+            with pytest.raises(mt.NoStabilization):
+                mt.busemann(G, xi, C, D)
+        else:
+            assert mt.busemann(G, xi, C, D) == want
+            stabilized += 1
+        compared += 1
+    assert stabilized >= 12
+
+
 def _edge_midpoint_rays(G):
     """Rays from the midpoint of the base chamber's edge 1 into each of
     the three chambers of its panel (base, mirror, branch), plus the
