@@ -28,7 +28,7 @@ from . import geomrender as gr
 from . import metrics as mt
 from . import rabuilding as rb
 from .chamber import ChamberError, area, parse_chamber_string, validate
-from .coxeter import CoxeterBall, ResourceCap, export_complex, wall_type
+from .coxeter import BallTooSmall, CoxeterBall, ResourceCap, export_complex, wall_type
 from .weights import WeightVector
 
 
@@ -130,7 +130,7 @@ def _cmd_coxeter(args, config):
     for wall, edge_list in ball.walls():
         try:
             comp = wall_type(ball, wall)
-        except Exception:
+        except BallTooSmall:
             comp = None
         walls.append({
             "reflection": list(wall.reflection),

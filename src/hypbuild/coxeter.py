@@ -31,11 +31,18 @@ instead of its word: w s_g changes one column of w's matrix, O(k^2)
 ring operations, and the point w s_g (x0) keys it exactly.  Its
 ShortLex word then needs only the descents stripped until the point
 reaches an element whose word is already known.
+
+Walls are named by their reflections, and both wall facts go through the
+word problem in one place each: `CoxeterSystem.conjugate` builds the
+ShortLex reflection w s_i w^-1 across edge i of chamber w, and
+`CoxeterSystem.separates` decides which side of a wall a chamber lies
+on with one `canon` call.  `CoxeterBall` groups its edges by wall once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .weights import WeightVector
 
@@ -205,23 +212,28 @@ class CoxeterSystem:
         k = self.k
         return self._strip(list(point[:k]), list(point[k:]), known=known)
 
-    # -- inversions / walls ---------------------------------------------
+    # -- reflections and walls ------------------------------------------
+
+    def conjugate(self, w, t):
+        """ShortLex word of w t w^-1 for words w and t.  With t = (i,) this
+        is the reflection across edge i of chamber w, the one place a wall
+        is named by its reflection."""
+        w = tuple(w)
+        return self.canon(w + tuple(t) + w[::-1])
+
+    def separates(self, t, w):
+        """Does the wall of the reflection t separate the base chamber from
+        the ShortLex word w?  Exactly when l(t w) < l(w): the reflections
+        with that property are w's inversions (Bjorner-Brenti,
+        *Combinatorics of Coxeter Groups*, 2005, ch. 1)."""
+        return len(self.canon(tuple(t) + w)) < len(w)
 
     def inversions(self, w):
         """The reflections t_j = s_{i1}..s_{ij}..s_{i1} for the canonical
         reduced word of w; these are the walls separating the base chamber
-        from w * base.  len(result) == l(w)."""
+        from w * base.  len(result) == l(w), and they are distinct."""
         w = self.canon(w)
-        out = []
-        seen = set()
-        for j in range(len(w)):
-            prefix = w[:j]
-            t = self.canon(prefix + (w[j],) + tuple(reversed(prefix)))
-            if t in seen:  # cannot happen for reduced words; guard anyway
-                continue
-            seen.add(t)
-            out.append(t)
-        return out
+        return [self.conjugate(w[:j], (w[j],)) for j in range(len(w))]
 
 
 @dataclass(frozen=True)
@@ -238,41 +250,23 @@ def boundary_components(spec):
     """Components of the chamber boundary after removing every vertex
     whose angle is not pi/3; each component is a maximal run of edge
     labels joined through m=3 vertices.  These components classify wall
-    types.  Returns a list of label tuples in boundary order; a single
-    component equal to the full cycle means every vertex has m=3."""
+    types.  Returns a list of label tuples in boundary order, sorted by
+    least label; a single component equal to the full cycle means every
+    vertex has m=3."""
     k = spec.k
-    # vertex j joins edge labels j and j%k+1
-    joined = [spec.m[j - 1] == 3 for j in range(1, k + 1)]
-    if all(joined):
+    # vertex j joins edge labels j and j%k+1; split the label cycle at the
+    # other vertices, starting just after the last of them
+    cuts = [j for j in range(1, k + 1) if spec.m[j - 1] != 3]
+    if not cuts:
         return [tuple(range(1, k + 1))]
-    # build runs of labels connected through joined vertices
-    comps = []
-    seen = set()
-    for start in range(1, k + 1):
-        if start in seen:
-            continue
-        # extend forward while vertex at the far end joins
-        comp = [start]
-        seen.add(start)
-        cur = start
-        while joined[cur - 1]:
-            nxt = cur % k + 1
-            if nxt in comp:
-                break
-            comp.append(nxt)
-            seen.add(nxt)
-            cur = nxt
-        # extend backward while the vertex before `start` joins
-        cur = start
-        while joined[(cur - 2) % k]:
-            prv = (cur - 2) % k + 1
-            if prv in comp:
-                break
-            comp.insert(0, prv)
-            seen.add(prv)
-            cur = prv
-        comps.append(tuple(comp))
-    return comps
+    comps, run = [], []
+    for i in range(k):
+        label = (cuts[-1] + i) % k + 1
+        run.append(label)
+        if spec.m[label - 1] != 3:
+            comps.append(tuple(run))
+            run = []
+    return sorted(comps, key=min)
 
 
 def wall_period(component, k, full_cycle):
@@ -437,94 +431,68 @@ class CoxeterBall(ChamberComplex):
     def wall_of_edge(self, chamber_idx, label):
         """The Wall through edge `label` of the given chamber."""
         w = self.words[chamber_idx]
-        refl = self.system.canon(w + (label,) + tuple(reversed(w)))
-        q = self.spec.q_of_edge(label)
         return Wall(
-            reflection=refl,
+            reflection=self.system.conjugate(w, (label,)),
             anchor_chamber=w,
             anchor_label=label,
-            weight=WeightVector.log_int(q),
+            weight=WeightVector.log_int(self.spec.q_of_edge(label)),
         )
+
+    @cached_property
+    def _edges_by_wall(self):
+        """Edge keys of the ball grouped by wall reflection, each group in
+        edge order (the reflection words do not depend on which
+        CoxeterSystem computes them, so the grouping is kept)."""
+        groups = {}
+        for key, (label, cs) in self.edges.items():
+            groups.setdefault(self.system.conjugate(self.words[cs[0]], (label,)), []).append(key)
+        return groups
 
     def walls(self):
         """Group interior edges of the ball by their wall reflection."""
-        groups = {}
-        for (word, g), (label, cs) in self.edges.items():
-            if len(cs) != 2:
-                continue
-            c = min(cs)
-            refl = self.system.canon(
-                self.words[c] + (label,) + tuple(reversed(self.words[c]))
-            )
-            groups.setdefault(refl, []).append((c, label))
         out = []
-        for refl, edge_list in sorted(groups.items()):
-            c, label = min(edge_list)
-            q = self.spec.q_of_edge(label)
-            out.append(
-                (
-                    Wall(
-                        reflection=refl,
-                        anchor_chamber=self.words[c],
-                        anchor_label=label,
-                        weight=WeightVector.log_int(q),
-                    ),
-                    edge_list,
-                )
-            )
+        for _refl, keys in sorted(self._edges_by_wall.items()):
+            edge_list = [(self.edges[key][1][0], key[1]) for key in keys
+                         if len(self.edges[key][1]) == 2]
+            if edge_list:
+                out.append((self.wall_of_edge(*min(edge_list)), edge_list))
         return out
 
     def wall_edge_path(self, wall):
         """Edges of the wall inside the ball, ordered along the geodesic.
         Returns (ordered edge keys, ordered labels)."""
-        refl = wall.reflection
-        members = []
-        for (word, g), (label, cs) in self.edges.items():
-            c = cs[0]
-            r = self.system.canon(
-                self.words[c] + (label,) + tuple(reversed(self.words[c]))
-            )
-            if r == refl:
-                members.append(((word, g), label))
-        if not members:
+        keys = self._edges_by_wall.get(wall.reflection)
+        if not keys:
             raise BallTooSmall("wall has no edges in this ball")
-        # order the edges into a path via shared vertices
-        endpoint = {}
-        for (key, label) in members:
-            cs = self.edges[key][1]
-            c = cs[0]
-            # edge `label` of chamber c runs between vertex label-1 and label
-            k = self.spec.k
-            va = self.vertex_of[c][(label - 2) % k]
-            vb = self.vertex_of[c][label - 1]
-            endpoint[key] = (va, vb, label)
-        incidence = {}
-        for key, (va, vb, label) in endpoint.items():
-            incidence.setdefault(va, []).append(key)
-            incidence.setdefault(vb, []).append(key)
-        start_key = members[0][0]
-        used = {start_key}
-        # extend a simple path in both directions from the start edge
-        ordered = [start_key]
-        frontier_vertices = [endpoint[start_key][0], endpoint[start_key][1]]
+        # edge `label` of chamber c runs between vertex label-1 and label
+        k = self.spec.k
+        endpoint, incidence = {}, {}
+        for key in keys:
+            c, label = self.edges[key][1][0], key[1]
+            endpoint[key] = (self.vertex_of[c][(label - 2) % k], self.vertex_of[c][label - 1])
+            for v in endpoint[key]:
+                incidence.setdefault(v, []).append(key)
+        # extend a simple path in both directions from the first edge
+        ordered = [keys[0]]
+        used = {keys[0]}
+        frontier_vertices = list(endpoint[keys[0]])
         progress = True
         while progress:
             progress = False
             for vi in (0, 1):
                 v = frontier_vertices[vi]
-                for key in incidence.get(v, []):
+                for key in incidence[v]:
                     if key not in used:
                         used.add(key)
                         if vi == 0:
                             ordered.insert(0, key)
                         else:
                             ordered.append(key)
-                        va, vb, _ = endpoint[key]
+                        va, vb = endpoint[key]
                         frontier_vertices[vi] = vb if va == v else va
                         progress = True
                         break
-        labels = [endpoint[key][2] for key in ordered]
-        return ordered, labels
+        return ordered, [key[1] for key in ordered]
 
 
 def wall_type(ball, wall):

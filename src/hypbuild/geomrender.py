@@ -29,7 +29,9 @@ from .chamber import area
 
 
 LORENTZ_TOL = 1e-9
-SHARED_EDGE_TOL = 1e-6
+# a traced crossing must keep this many inradii away from both ends of
+# its edge
+VERTEX_MARGIN = 1e-3
 
 
 class NoConvergence(ArithmeticError):
@@ -287,18 +289,18 @@ class RealizedBall:
 
 def realize(ball):
     """Realize a tessellation ball: each chamber's isometry is the
-    composition of base-edge reflections along its word."""
+    composition of base-edge reflections along its word, taken as its
+    parent's (the word without its last letter: ShortLex words are
+    prefix-closed and sorted, so the parent comes first) times one
+    reflection."""
     polygon = normal_polygon(ball.spec)
     refl = [
         reflection_matrix(geodesic_normal(*polygon.edge_endpoints(i)))
         for i in range(1, ball.spec.k + 1)
     ]
-    ident = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]
-    matrices = []
-    for w in ball.words:
-        M = ident
-        for g in w:
-            M = mat_mul(M, refl[g - 1])
+    matrices = [[[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]]
+    for w in ball.words[1:]:
+        M = mat_mul(matrices[ball.index[w[:-1]]], refl[w[-1] - 1])
         defect = lorentz_defect(M)
         if defect > LORENTZ_TOL * max(1, 10 * len(w)):
             raise ToleranceFail(
@@ -386,18 +388,16 @@ def geodesic_point(p, v, t):
     return tuple(c * p[i] + s * v[i] for i in range(3))
 
 
-def trace(realized, base, theta, length, margin=None, tangent=None,
-          stop_at_boundary=False):
+def trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
     """Trace the geodesic from `base` in direction `theta` for hyperbolic
     arc length `length` through the realized ball.
 
     Returns the ordered crossings as (edge label, chamber entered,
     crossing parameter).  Raises NearVertex if a crossing point passes
-    within the vertex-avoidance margin (default 1e-3 * inradius) of an
-    edge endpoint, LeftBall if the geodesic exits the realized ball.
+    within VERTEX_MARGIN * inradius of an edge endpoint, LeftBall if the
+    geodesic exits the realized ball.
     """
-    if margin is None:
-        margin = 1e-3 * realized.polygon.inradius
+    margin = VERTEX_MARGIN * realized.polygon.inradius
     ball = realized.ball
     k = ball.spec.k
     c = locate(realized, base)

@@ -3,8 +3,12 @@
 The dual graph has one vertex per chamber; chambers sharing an edge
 labeled i are joined by an edge of length log q_i.  All metric values
 are exact WeightVectors (integer or half-integer combinations of logs of
-primes); floats only appear in Dijkstra heap ordering (guarded by exact
-comparison) and in the quasi-metric surrogate.
+primes), compared exactly; floats only appear in the Dijkstra heap key
+(a hint: the exact comparison decides every relaxation), in the growth
+radius threshold, in reported `value`s and in the quasi-metric
+surrogate.  Rays are traced in floats, but a chamber is always named by
+its exact word, and which side of a wall it lies on is one word-problem
+query (CoxeterSystem.separates).
 
 The host ball is a CoxeterBall (a thin apartment) or a
 rabuilding.BuildingBall.  Both give the chamber interface of
@@ -212,52 +216,52 @@ def chart_through(graph, C, Cp, chart_radius=None):
 @dataclass
 class RaySpec:
     """A finite-horizon boundary-point surrogate: a geodesic ray traced
-    through an apartment chart from `base` in direction `theta`
-    (or explicit `tangent`), at least `margin` away from every vertex."""
+    through an apartment chart from `base` in direction `theta` (or along
+    an explicit unit `tangent`, which then replaces theta).  The ray is
+    traced once; its chart chambers are kept for the host sequence and
+    for the wall-side test."""
 
     chart: ApartmentChart
     base: tuple
     theta: float
-    margin: float = None
     tangent: tuple = None
+    _chambers: list = field(default=None, repr=False)
     _seq: list = field(default=None, repr=False)
 
     def direction_key(self):
-        return (tuple(round(x, 9) for x in self.base), round(self.theta, 9))
+        key = (tuple(round(x, 9) for x in self.base), round(self.theta, 9))
+        if self.tangent is not None:
+            key += (tuple(round(x, 9) for x in self.tangent),)
+        return key
+
+    def chart_chambers(self):
+        """Chart chambers along the ray: start chamber, then each chamber
+        entered, up to the chart boundary."""
+        if self._chambers is None:
+            realized = self.chart.realized
+            crossings = gr.trace(
+                realized, self.base, self.theta, 1e9,
+                tangent=self.tangent, stop_at_boundary=True,
+            )
+            start = gr.locate(realized, self.base)
+            self._chambers = [start] + [c for _lbl, c, _t in crossings]
+        return self._chambers
 
     def chamber_sequence(self):
-        """Host chambers along the ray: start chamber, then each chamber
-        entered, truncated at the chart or host ball boundary."""
-        if self._seq is not None:
-            return self._seq
-        realized = self.chart.realized
-        margin = (
-            self.margin
-            if self.margin is not None
-            else 1e-3 * realized.polygon.inradius
-        )
-        crossings = gr.trace(
-            realized,
-            self.base,
-            self.theta,
-            1e9,
-            margin=margin,
-            tangent=self.tangent,
-            stop_at_boundary=True,
-        )
-        start = gr.locate(realized, self.base)
-        chart_seq = [start] + [c for _lbl, c, _t in crossings]
-        seq = []
-        for c in chart_seq:
-            h = self.chart.to_host(c)
-            if h is None:
-                break
-            seq.append(h)
-        self._seq = seq
-        return seq
+        """Host chambers along the ray: the chart chambers mapped to the
+        host, truncated at the host ball boundary."""
+        if self._seq is None:
+            seq = []
+            for c in self.chart_chambers():
+                h = self.chart.to_host(c)
+                if h is None:
+                    break
+                seq.append(h)
+            self._seq = seq
+        return self._seq
 
 
-def segment_chambers(chart, p, r, margin=None):
+def segment_chambers(chart, p, r):
     """Ordered host chambers whose interiors the geodesic segment pr
     meets, traced in the realized carrying apartment."""
     realized = chart.realized
@@ -271,9 +275,7 @@ def segment_chambers(chart, p, r, margin=None):
     t = tuple(r[i] - gr.bform(r, p) * p[i] for i in range(3))
     s = math.sqrt(-gr.bform(t, t))
     tangent = tuple(x / s for x in t)
-    crossings = gr.trace(
-        realized, p, 0.0, length, margin=margin, tangent=tangent
-    )
+    crossings = gr.trace(realized, p, 0.0, length, tangent=tangent)
     seq = [chart.to_host(cp)] + [chart.to_host(c) for _l, c, _t in crossings]
     if any(c is None for c in seq):
         raise NoApartment("segment leaves the host ball")
@@ -436,8 +438,8 @@ def quasi_dist(G, xi, eta, C, tau_hat):
 # detection experiments
 # ---------------------------------------------------------------------------
 
-def _ray_from(chart, base, theta, margin=None):
-    return RaySpec(chart=chart, base=base, theta=theta, margin=margin)
+def _ray_from(chart, base, theta):
+    return RaySpec(chart=chart, base=base, theta=theta)
 
 
 def _wall_frame(realized, label):
@@ -467,7 +469,7 @@ def _offset_point(p, direction, dist_along, normal, dist_off):
     return gr._normalize_point(y)
 
 
-def detect_skeleton_experiment(G, line, samples=24, seed=0, margin=None):
+def detect_skeleton_experiment(G, line, samples=24, seed=0):
     """Sample cross ratios of regular quadruples straddling the two ends
     of a line and report the observed value set.
 
@@ -556,12 +558,8 @@ def _rebase(G, chart, coloring, chart_chamber):
     # backwards from chart_chamber
     sysc = G.ball.system
     w = chart.realized.ball.words[chart_chamber]
-    winv = sysc.canon(tuple(reversed(w)))
-    base = coloring.alpha(winv)
-    new_colors = {}
-    for refl, col in coloring.colors.items():
-        moved = sysc.canon(w + refl + winv)
-        new_colors[moved] = col
+    base = coloring.alpha(sysc.canon(w[::-1]))
+    new_colors = {sysc.conjugate(w, refl): col for refl, col in coloring.colors.items()}
     # walls colored on the path from the new base to the old one keep
     # their colors implicitly via apartment_through below
     through = rb.apartment_through(G.ball, base, coloring.base)
@@ -616,8 +614,7 @@ def _skeleton_quadruples(G, label, samples, rng):
 
 
 def _wall_normal(realized, label):
-    u = gr.geodesic_normal(*realized.polygon.edge_endpoints(label))
-    return u
+    return realized.base_normals[label - 1]
 
 
 def _generic_quadruples(G, theta, samples, rng):
@@ -652,27 +649,16 @@ def _carrying_chamber(ray):
 
 
 def _stays_off_wall(ray, refl):
-    """True when the ray's traced chart chambers never cross the wall of
-    the reflection `refl` (the disjointness hypothesis, checked at the
-    traced horizon)."""
-    realized = ray.chart.realized
-    sysc = realized.ball.system
-    start = gr.locate(realized, ray.base)
-    margin = (
-        ray.margin if ray.margin is not None else 1e-3 * realized.polygon.inradius
-    )
+    """True when the ray's traced chart chambers all lie on one side of
+    the wall of the reflection `refl` (the disjointness hypothesis,
+    checked at the traced horizon)."""
     try:
-        crossings = gr.trace(
-            realized, ray.base, ray.theta, 1e9, margin=margin,
-            stop_at_boundary=True,
-        )
+        chambers = ray.chart_chambers()
     except (gr.NearVertex, gr.LeftBall):
         return False
-    side0 = refl in set(sysc.inversions(realized.ball.words[start]))
-    for _lbl, c, _t in crossings:
-        if (refl in set(sysc.inversions(realized.ball.words[c]))) != side0:
-            return False
-    return True
+    ball = ray.chart.realized.ball
+    side = ball.system.separates(refl, ball.words[chambers[0]])
+    return all(ball.system.separates(refl, ball.words[c]) == side for c in chambers[1:])
 
 
 def _side_probes(G, chart0, label, off, back, tilt, mid, along, normal):

@@ -5,18 +5,16 @@ Gromov products, Busemann values, cross ratios) is an integer or
 half-integer combination of logarithms of primes.  Such a combination is
 zero only when all coefficients are zero (Q-linear independence of logs
 of distinct primes), so equality can be decided exactly from the
-exponent vector alone.  Ordering of distinct values is decided
-numerically; a zero-vector check guards the only exactly-tied case, and
-near-ties escalate to high-precision evaluation before deciding.
+exponent vector alone.  Order is exact too: sum n_p log p has the sign
+of log(prod_{n_p>0} p^n_p / prod_{n_p<0} p^-n_p), so two integer
+products decide it.  Floats only appear in value(), which reports and
+heuristics read and no comparison does.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-_NEAR_TIE = 1e-9
-_MPMATH_DPS = 60
 
 
 def _factorize(n):
@@ -33,6 +31,20 @@ def _factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _sign(a, b):
+    """Sign of sum_p (a_p - b_p) log p for exponent maps a and b, decided
+    in integers: the product of p^d over the positive differences d
+    against the product of p^-d over the negative ones."""
+    up = down = 1
+    for p in a.keys() | b.keys():
+        d = a.get(p, 0) - b.get(p, 0)
+        if d > 0:
+            up *= p ** d
+        elif d < 0:
+            down *= p ** -d
+    return (up > down) - (up < down)
 
 
 class WeightVector:
@@ -84,7 +96,7 @@ class WeightVector:
         return not self._halves
 
     def is_nonnegative(self):
-        return self.is_zero() or self.value() > 0
+        return _sign(self._halves, {}) >= 0
 
     def multiple_of_half_log(self, q):
         """Is this an integer multiple of (1/2) log q?  Returns the
@@ -142,13 +154,7 @@ class WeightVector:
         return self._hash
 
     def __lt__(self, other):
-        diff = self - other
-        if diff.is_zero():
-            return False
-        v = diff.value()
-        if abs(v) < _NEAR_TIE:
-            v = diff._value_mp()
-        return v < 0
+        return _sign(self._halves, other._halves) < 0
 
     def __le__(self, other):
         return self == other or self < other
@@ -163,15 +169,6 @@ class WeightVector:
 
     def value(self):
         return 0.5 * sum(n * math.log(p) for p, n in self._halves.items())
-
-    def _value_mp(self):
-        import mpmath
-
-        with mpmath.workdps(_MPMATH_DPS):
-            total = mpmath.mpf(0)
-            for p, n in self._halves.items():
-                total += n * mpmath.log(p)
-            return float(total / 2)
 
     # -- presentation ---------------------------------------------------
 

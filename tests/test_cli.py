@@ -64,14 +64,31 @@ def test_q_on_building_host_is_a_usage_error(capsys):
 
 
 # sha256 of seeded reports whose samples are placed by float point
-# location, measured with the linear chamber scan (test_geomrender's
-# _scan_locate) in place of the walk
+# location: the two detect-skeleton reports measured with the linear
+# chamber scan (test_geomrender's _scan_locate) in place of the walk;
+# the detect-side, walls and crossratio reports measured before the wall
+# side test, the reflection words and the edge grouping by wall each
+# moved into one place
 PINNED_REPORTS = [
     (["metrics", "detect-skeleton", "--chamber", "3;2,3,8", "--radius", "8"],
      0, "4fb62dcd471a511cc53992632bd01a9a1781a90658829ae6710f86d98a438a1e"),
     (["metrics", "detect-skeleton", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
       "--host", "building", "--radius", "4", "--label", "1"],
      1, "1274109ba033603113c1f2f008c2dd6477483fe5168f53145b08cc98b66ae66d"),
+    (["metrics", "detect-side", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+      "--host", "building", "--radius", "4", "--label", "1", "--samples", "6"],
+     0, "6adaec076c57233ec5439d8e42fef31170eca1dfdafec2b604e332aefb7e89aa"),
+    (["metrics", "detect-side", "--chamber", "3;2,3,8", "--radius", "8",
+      "--label", "2", "--samples", "6"],
+     0, "57e54e7bde639cdbbdb2b470a1be70ed3e0234dc22e4e0f7296f24bdad1129a7"),
+    (["coxeter", "walls", "--chamber", "3;2,3,8", "--radius", "12"],
+     0, "e30daa650a62e981a79b036a94383b49ac531dc5468367957a05be724dec8689"),
+    (["metrics", "crossratio", "--chamber", "3;2,3,8", "--radius", "8",
+      "--thetas", "0.3,1.9,3.4,5.0"],
+     0, "d09fce6a27da05d568c8130907c9fca67d9f76b77b3b3cc1e0b3f6445b763814"),
+    (["metrics", "crossratio", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+      "--host", "building", "--radius", "4", "--thetas", "0.3,1.9,3.4,5.0"],
+     0, "c469a90c7242e228edb90e0bec152c05b1bfea5f168021947ae6deb3b7d01055"),
 ]
 
 
@@ -140,6 +157,29 @@ def test_coxeter_walls_report(capsys):
     assert code == 0
     assert rep["results"]
     assert rep["results"][0]["reflection"] == [1]
+
+
+def test_coxeter_walls_reports_only_ball_too_small_as_unclassified(capsys, monkeypatch):
+    def broken(ball, wall):
+        raise KeyError("not a horizon limit")
+
+    monkeypatch.setattr(cli, "wall_type", broken)
+    with pytest.raises(KeyError):
+        cli.main(["coxeter", "walls", "--chamber", "3;2,3,8", "--radius", "4"])
+    assert '"component": null' not in capsys.readouterr().out
+
+
+def test_cli_runs_without_mpmath():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['mpmath'] = None; from hypbuild import cli; "
+        "sys.exit(cli.main(['metrics', 'dist', '--chamber', '3;2,3,8', "
+        "'--q', '2,3,5', '--c', '0', '--cp', '5']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"][0]["dist"]
 
 
 def test_horizon_shortfall_exits_3_with_report(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypbuild import rabuilding as rb
-from hypbuild.chamber import parse_chamber_string, validate
+from hypbuild.chamber import ALLOWED_M, ChamberError, parse_chamber_string, validate
 from hypbuild.coxeter import (
     BallTooSmall,
     CoxeterBall,
@@ -352,6 +352,85 @@ def test_boundary_components(spec238, spec334, spec248, pentagon):
     assert boundary_components(spec334) == [(1, 2, 3)]
     assert sorted(boundary_components(spec248)) == [(1,), (2,), (3,)]
     assert len(boundary_components(pentagon)) == 5
+
+
+def _extend_components(spec):
+    """The earlier boundary_components, kept as an oracle: grow a run
+    forward and backward from every label not yet seen."""
+    k = spec.k
+    joined = [spec.m[j - 1] == 3 for j in range(1, k + 1)]
+    if all(joined):
+        return [tuple(range(1, k + 1))]
+    comps = []
+    seen = set()
+    for start in range(1, k + 1):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        cur = start
+        while joined[cur - 1]:
+            nxt = cur % k + 1
+            if nxt in comp:
+                break
+            comp.append(nxt)
+            seen.add(nxt)
+            cur = nxt
+        cur = start
+        while joined[(cur - 2) % k]:
+            prv = (cur - 2) % k + 1
+            if prv in comp:
+                break
+            comp.insert(0, prv)
+            seen.add(prv)
+            cur = prv
+        comps.append(tuple(comp))
+    return comps
+
+
+def test_boundary_components_match_extension_oracle():
+    checked = 0
+    for k in range(3, 7):
+        for m in itertools.product(ALLOWED_M, repeat=k):
+            try:
+                spec = validate(k, m)
+            except ChamberError:
+                continue
+            assert boundary_components(spec) == _extend_components(spec), m
+            checked += 1
+    assert checked == 19467
+
+
+@pytest.mark.parametrize("chamber", ["3;2,3,8", "3;3,3,4", "4;2,4,2,6", "5;2,2,2,2,2"])
+def test_separates_matches_inversion_membership(chamber):
+    # every chamber of a radius-4 ball against all simple walls and 5k
+    # random walls, each the reflection across a random edge of a random
+    # chamber of the ball
+    ball = CoxeterBall(parse_chamber_string(chamber), 4)
+    sysc = CoxeterSystem(ball.spec)
+    k = ball.spec.k
+    rng = random.Random(11)
+    walls = [(i,) for i in range(1, k + 1)] + [
+        sysc.conjugate(rng.choice(ball.words), (rng.randrange(1, k + 1),))
+        for _ in range(5 * k)
+    ]
+    for w in ball.words:
+        inv = set(sysc.inversions(w))
+        for t in walls:
+            assert sysc.separates(t, w) == (t in inv), (t, w)
+
+
+def test_conjugate_is_the_edge_reflection(spec238):
+    sysc = CoxeterSystem(spec238)
+    rng = random.Random(5)
+    for _ in range(100):
+        w = sysc.canon(tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 12))))
+        i = rng.randrange(1, 4)
+        t = sysc.conjugate(w, (i,))
+        assert t == sysc.canon(w + (i,) + tuple(reversed(w)))
+        assert sysc.canon(t + t) == ()
+        # the wall of t is the one crossed between chambers w and w s_i
+        assert sysc.separates(t, w) != sysc.separates(t, sysc.canon(w + (i,)))
 
 
 def test_wall_period_patterns(spec238, spec334):

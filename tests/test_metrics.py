@@ -215,6 +215,37 @@ def test_identical_directions_rejected(aG):
         mt.boundary_gromov(aG, xi, _ray(chart, ORIGIN, 1.0), 0)
 
 
+@pytest.fixture(scope="module")
+def tangent_rays(pentagon_thick):
+    # two rays from the chart origin with the same theta and base, told
+    # apart only by their tangents, on the thick pentagon at R=4
+    G = mt.DualGraph(rb.ball(pentagon_thick, 4))
+    chart = mt.chart_for(G)
+    return G, [
+        _ray(chart, ORIGIN, 0.0, tangent=(0.0, math.cos(a), math.sin(a))) for a in (0.3, 2.9)
+    ]
+
+
+def test_tangent_rays_are_distinct_boundary_points(tangent_rays):
+    G, (xi, eta) = tangent_rays
+    assert xi.chamber_sequence() == [0, 1, 13, 71, 391]
+    assert eta.chamber_sequence() == [0, 5, 41, 239, 1279]
+    assert mt.boundary_gromov(G, xi, eta, 0).value == WeightVector.zero()
+    with pytest.raises(ValueError):
+        mt.boundary_gromov(G, xi, _ray(xi.chart, ORIGIN, 0.0, tangent=xi.tangent), 0)
+
+
+def test_wall_side_test_follows_the_tangent(tangent_rays):
+    _G, (xi, _eta) = tangent_rays
+    realized = xi.chart.realized
+    sysc = realized.ball.system
+    crossings = gr.trace(realized, ORIGIN, 0.0, 1e9, tangent=xi.tangent, stop_at_boundary=True)
+    chambers = [0] + [c for _l, c, _t in crossings]
+    for s in range(1, 6):
+        sides = {(s,) in sysc.inversions(realized.ball.words[c]) for c in chambers}
+        assert mt._stays_off_wall(xi, (s,)) == (len(sides) == 1) == (s >= 3)
+
+
 def test_boundary_gromov_stable_under_restart(aG):
     chart = mt.chart_for(aG)
     theta = 0.9

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -75,3 +76,55 @@ def test_ordering_agrees_with_floats(a, b):
 def test_json_stable():
     v = WeightVector.half_log_int(2) - WeightVector.log_int(3)
     assert v.to_json() == {"2": "1/2", "3": "-1"}
+
+
+# -- exact order against an 80-digit decimal oracle ----------------------
+
+_CTX = decimal.Context(prec=80)
+_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _decimal_value(halves):
+    total = sum((_CTX.multiply(decimal.Decimal(n), _CTX.ln(p)) for p, n in halves.items()),
+                decimal.Decimal(0))
+    return _CTX.divide(total, 2)
+
+
+signed_vectors = st.dictionaries(st.sampled_from(_PRIMES), st.integers(-60, 60), max_size=6)
+
+
+@given(signed_vectors, signed_vectors)
+def test_order_matches_decimal_logs(a, b):
+    va, vb = WeightVector(a), WeightVector(b)
+    da, db = _decimal_value(a), _decimal_value(b)
+    assert (va < vb) == (da < db)
+    assert (va <= vb) == (da <= db)
+    assert (va > vb) == (da > db)
+    assert (va - vb).is_nonnegative() == (da >= db)
+
+
+def _convergents(x, bound):
+    """Continued-fraction convergents p/q of x with q <= bound."""
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        a = int(x)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if k1 > bound:
+            return
+        yield h1, k1
+        x = _CTX.divide(1, x - a)
+
+
+def test_order_on_continued_fraction_near_ties():
+    two, three = WeightVector.log_int(2), WeightVector.log_int(3)
+    x = _CTX.divide(_CTX.ln(3), _CTX.ln(2))
+    pairs = list(_convergents(x, 200_000))
+    assert (301994, 190537) in pairs
+    for a, b in pairs:
+        gap = _CTX.subtract(_CTX.multiply(a, _CTX.ln(2)), _CTX.multiply(b, _CTX.ln(3)))
+        assert (two.scale(a) < three.scale(b)) == (gap < 0)
+        assert (three.scale(b) < two.scale(a)) == (gap > 0)
+        assert (two.scale(a) - three.scale(b)).is_nonnegative() == (gap > 0)
+    # the closest pair: 301994 log 2 - 190537 log 3 = 6.45e-8, on values
+    # near 2.1e5
+    assert two.scale(301994) > three.scale(190537)
