@@ -26,13 +26,15 @@ The search runs on integers only: corner angles are counted in units
 of pi/L with L = lcm(m), so the cap and the closing test d = n * A0 are
 an integer quotient and a divisibility test.
 
-The tessellation is grown lazily.  A chamber w is identified exactly by
-its point w(x0) in root coordinates, integer pairs a + b*sqrt(2): the
-chamber across edge g is found from w's root matrix, that of w s_g, by
-a lookup on its point, and a new chamber's ShortLex word is read by
-stripping least left descents off its point until it reaches a known
-chamber (coxeter.CoxeterSystem.times_generator and shortlex_prefix).
-No float decides whether two chambers are the same.
+The tessellation is grown lazily by coxeter.Tessellation, the
+root-point step that thin CoxeterBalls are built with too.  A chamber w
+is identified exactly by its point w(x0) in root coordinates, integer
+pairs a + b*sqrt(2): the chamber across edge g is found from w's root
+matrix, that of w s_g, by a lookup on its point, and a new chamber's
+ShortLex word is read by stripping least left descents off its point
+until it reaches a known chamber (coxeter.CoxeterSystem.times_generator
+and shortlex_prefix).  No float decides whether two chambers are the
+same.
 
 Isomorphism classes are label-preserving: the symmetry group of the
 labeled tessellation acts simply transitively on chambers, so a class
@@ -49,7 +51,7 @@ from fractions import Fraction
 from math import lcm
 
 from .chamber import RationalAngle, area
-from .coxeter import CoxeterSystem, ResourceCap
+from .coxeter import ResourceCap, Tessellation
 
 
 class TouchesBoundary(ValueError):
@@ -58,130 +60,6 @@ class TouchesBoundary(ValueError):
 
 class NotADisk(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# the lazily-grown tessellation table
-# ---------------------------------------------------------------------------
-
-class Tessellation:
-    """The full chamber tessellation, grown on demand.  Chambers are
-    integer ids; chamber 0 is the base chamber.  `words` holds each
-    chamber's ShortLex word and `rmul[c][g - 1]` the chamber across edge
-    g of chamber c, once stepped.
-
-    A chamber w is keyed by its exact point w(x0) in root coordinates.
-    While w still has an unknown neighbour, its root matrix is kept; the
-    neighbour across g has the matrix of w s_g and is found by a lookup
-    on its point (CoxeterSystem.times_generator).  A new chamber's word is
-    read by stripping least left descents off its point only until the
-    point is a known chamber's (CoxeterSystem.shortlex_prefix)."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.k = spec.k
-        self.system = CoxeterSystem(spec)
-        cols, point = self.system.identity_matrix()
-        self.words = [()]
-        self.rmul = [[None] * spec.k]
-        self._ids = {point: 0}  # point -> chamber id
-        self._open = {0: (cols, point)}  # root matrix and point, until rmul[c] is full
-        self._vcache = {}
-
-    def __len__(self):
-        return len(self.words)
-
-    def step(self, c, g):
-        """Chamber across edge labeled g (1-based)."""
-        row = self.rmul[c]
-        cached = row[g - 1]
-        if cached is not None:
-            return cached
-        system = self.system
-        cols, point = system.times_generator(*self._open[c], g)
-        prefix, known = system.shortlex_prefix(point, self._ids)
-        if prefix:
-            idx = len(self.words)
-            self.words.append(tuple(prefix) + self.words[known])
-            self._ids[point] = idx
-            self.rmul.append([None] * self.k)
-            self._open[idx] = (cols, point)
-        else:
-            idx = known
-        row[g - 1] = idx
-        back = self.rmul[idx]
-        back[g - 1] = c
-        if None not in row:
-            del self._open[c]
-        if None not in back:
-            del self._open[idx]
-        return idx
-
-    def vertex(self, c, j):
-        """The vertex of chamber c between edges j and j+1 (cyclic):
-        a record with the full cyclic chamber/edge structure."""
-        rec = self._vcache.get((c, j))
-        if rec is not None:
-            return rec
-        k = self.k
-        a, b = j, j % k + 1
-        m = self.spec.m_at_vertex(j)
-        chams = [c]
-        cur = c
-        for t in range(2 * m - 1):
-            g = a if t % 2 == 0 else b
-            cur = self.step(cur, g)
-            chams.append(cur)
-        if self.step(cur, b) != c:
-            raise ArithmeticError("vertex cycle failed to close")
-        # labels[t] is the label of the edge between chambers t-1 and t
-        labels = [b, a] * m
-        # normalize: rotate to the least chamber, direction toward the
-        # smaller neighbor, so the record is canonical for the vertex
-        i0 = chams.index(min(chams))
-        rot = chams[i0:] + chams[:i0]
-        labels = labels[i0:] + labels[:i0]
-        rev = [rot[0]] + list(reversed(rot[1:]))
-        if rev[1] < rot[1]:
-            rot = rev
-            # reversed, the edge between chambers t-1 and t is the edge
-            # that ended at position 1-t
-            labels = [labels[(1 - t) % (2 * m)] for t in range(2 * m)]
-        edges = []
-        for t in range(2 * m):
-            x, y = rot[t - 1], rot[t]
-            edges.append((min(x, y), max(x, y), labels[t]))
-        rec = {
-            "key": (rot[0], j),
-            "j": j,
-            "m": m,
-            "chams": tuple(rot),
-            "edges": tuple(edges),
-            "pos": {e: t for t, e in enumerate(edges)},
-        }
-        for ch in rot:
-            self._vcache[(ch, j)] = rec
-        return rec
-
-    def edge_endpoints(self, edge):
-        """The two vertex records at the ends of a 1-skeleton edge."""
-        lo, _hi, g = edge
-        k = self.k
-        j1 = g
-        j2 = (g + k - 2) % k + 1
-        return self.vertex(lo, j1), self.vertex(lo, j2)
-
-    def canonical_form(self, chambers):
-        """Least, over all translations bringing a member chamber to the
-        base chamber, of the sorted tuple of translated chamber words."""
-        canon = self.system.canon
-        best = None
-        for u in chambers:
-            inv = tuple(reversed(self.words[u]))
-            cand = tuple(sorted(canon(inv + self.words[s]) for s in chambers))
-            if best is None or cand < best:
-                best = cand
-        return best
 
 
 _TESS_CACHE = {}
@@ -663,13 +541,9 @@ def brute_force_catalog(spec, shape, n_max=8):
         for i, c in enumerate(candidates):
             S2 = S + (c,)
             new_banned = banned | set(candidates[:i])
-            fresh = [
-                T.step(c, g)
-                for g in range(1, T.k + 1)
-                if T.step(c, g) not in S2
-                and T.step(c, g) not in new_banned
-                and T.step(c, g) not in candidates[i + 1:]
-            ]
+            rest = candidates[i + 1:]
+            fresh = [d for d in (T.step(c, g) for g in range(1, T.k + 1))
+                     if d not in S2 and d not in new_banned and d not in rest]
             extend(S2, candidates[i + 1:] + tuple(fresh), new_banned | {c})
 
     first = tuple(T.step(0, g) for g in range(1, T.k + 1))

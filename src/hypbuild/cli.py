@@ -8,8 +8,9 @@ Every subcommand prints one JSON report to stdout:
 Exit codes: 0 when all verdicts pass, 1 when a verification fails,
 2 on usage or input-format errors, 3 when a computation ran out of
 horizon or numerical precision (an ArithmeticError such as
-NoStabilization or NoConvergence) or hit a ResourceCap; the report's
-witnesses name the error.
+NoStabilization or NoConvergence), hit a ResourceCap, or traced a valid
+ray through a vertex or out of the ball (NearVertex, LeftBall); the
+report's witnesses name the error.
 All randomized experiments take --seed; identical config and seed give
 byte-identical reports.
 """
@@ -503,16 +504,16 @@ def main(argv=None):
     t0 = time.time()
     try:
         report = args.handler(args, config)
-    except (ChamberError, UsageError, FileNotFoundError, ValueError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (ArithmeticError, ResourceCap) as exc:
-        # the ray horizon, the numerics or a resource cap ran out: a
-        # report, not a traceback
+    except (ArithmeticError, ResourceCap, gr.NearVertex, gr.LeftBall) as exc:
+        # the ray horizon, the numerics or a resource cap ran out, or a
+        # valid ray met a vertex or left the ball: a report, not a traceback
         command = args.command if args.sub == args.command else "%s %s" % (args.command, args.sub)
         report = _emit(command, config,
                        witnesses=[{"error": type(exc).__name__, "message": str(exc)}])
         code = 3
+    except (ChamberError, UsageError, FileNotFoundError, ValueError) as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 2
     else:
         code = 0 if all(v.get("pass", True) for v in report["verdicts"]) else 1
     if args.timings:

@@ -30,7 +30,10 @@ A walk through the tessellation can keep each element's root matrix
 instead of its word: w s_g changes one column of w's matrix, O(k^2)
 ring operations, and the point w s_g (x0) keys it exactly.  Its
 ShortLex word then needs only the descents stripped until the point
-reaches an element whose word is already known.
+reaches an element whose word is already known.  `Tessellation` walks
+this way, and it is the one neighbour step of the thin tessellation:
+`CoxeterBall` builds its chambers and its `rmul` table with it and the
+catalog searches it.  `canon` is left for arbitrary words.
 
 Walls are named by their reflections, and both wall facts go through the
 word problem in one place each: `CoxeterSystem.conjugate` builds the
@@ -236,6 +239,126 @@ class CoxeterSystem:
         return [self.conjugate(w[:j], (w[j],)) for j in range(len(w))]
 
 
+class Tessellation:
+    """The full chamber tessellation, grown on demand.  Chambers are
+    integer ids; chamber 0 is the base chamber.  `words` holds each
+    chamber's ShortLex word and `rmul[c][g - 1]` the chamber across edge
+    g of chamber c, once stepped.
+
+    A chamber w is keyed by its exact point w(x0) in root coordinates.
+    While w still has an unknown neighbour, its root matrix is kept; the
+    neighbour across g has the matrix of w s_g and is found by a lookup
+    on its point (CoxeterSystem.times_generator).  A new chamber's word is
+    read by stripping least left descents off its point only until the
+    point is a known chamber's (CoxeterSystem.shortlex_prefix)."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.k = spec.k
+        self.system = CoxeterSystem(spec)
+        cols, point = self.system.identity_matrix()
+        self.words = [()]
+        self.rmul = [[None] * spec.k]
+        self._ids = {point: 0}  # point -> chamber id
+        self._open = {0: (cols, point)}  # root matrix and point, until rmul[c] is full
+        self._vcache = {}
+
+    def __len__(self):
+        return len(self.words)
+
+    def step(self, c, g):
+        """Chamber across edge labeled g (1-based)."""
+        row = self.rmul[c]
+        cached = row[g - 1]
+        if cached is not None:
+            return cached
+        system = self.system
+        cols, point = system.times_generator(*self._open[c], g)
+        prefix, known = system.shortlex_prefix(point, self._ids)
+        if prefix:
+            idx = len(self.words)
+            self.words.append(tuple(prefix) + self.words[known])
+            self._ids[point] = idx
+            self.rmul.append([None] * self.k)
+            self._open[idx] = (cols, point)
+        else:
+            idx = known
+        row[g - 1] = idx
+        back = self.rmul[idx]
+        back[g - 1] = c
+        if None not in row:
+            del self._open[c]
+        if None not in back:
+            del self._open[idx]
+        return idx
+
+    def vertex(self, c, j):
+        """The vertex of chamber c between edges j and j+1 (cyclic):
+        a record with the full cyclic chamber/edge structure."""
+        rec = self._vcache.get((c, j))
+        if rec is not None:
+            return rec
+        k = self.k
+        a, b = j, j % k + 1
+        m = self.spec.m_at_vertex(j)
+        chams = [c]
+        cur = c
+        for t in range(2 * m - 1):
+            g = a if t % 2 == 0 else b
+            cur = self.step(cur, g)
+            chams.append(cur)
+        if self.step(cur, b) != c:
+            raise ArithmeticError("vertex cycle failed to close")
+        # labels[t] is the label of the edge between chambers t-1 and t
+        labels = [b, a] * m
+        # normalize: rotate to the least chamber, direction toward the
+        # smaller neighbor, so the record is canonical for the vertex
+        i0 = chams.index(min(chams))
+        rot = chams[i0:] + chams[:i0]
+        labels = labels[i0:] + labels[:i0]
+        rev = [rot[0]] + list(reversed(rot[1:]))
+        if rev[1] < rot[1]:
+            rot = rev
+            # reversed, the edge between chambers t-1 and t is the edge
+            # that ended at position 1-t
+            labels = [labels[(1 - t) % (2 * m)] for t in range(2 * m)]
+        edges = []
+        for t in range(2 * m):
+            x, y = rot[t - 1], rot[t]
+            edges.append((min(x, y), max(x, y), labels[t]))
+        rec = {
+            "key": (rot[0], j),
+            "j": j,
+            "m": m,
+            "chams": tuple(rot),
+            "edges": tuple(edges),
+            "pos": {e: t for t, e in enumerate(edges)},
+        }
+        for ch in rot:
+            self._vcache[(ch, j)] = rec
+        return rec
+
+    def edge_endpoints(self, edge):
+        """The two vertex records at the ends of a 1-skeleton edge."""
+        lo, _hi, g = edge
+        k = self.k
+        j1 = g
+        j2 = (g + k - 2) % k + 1
+        return self.vertex(lo, j1), self.vertex(lo, j2)
+
+    def canonical_form(self, chambers):
+        """Least, over all translations bringing a member chamber to the
+        base chamber, of the sorted tuple of translated chamber words."""
+        canon = self.system.canon
+        best = None
+        for u in chambers:
+            inv = tuple(reversed(self.words[u]))
+            cand = tuple(sorted(canon(inv + self.words[s]) for s in chambers))
+            if best is None or cand < best:
+                best = cand
+        return best
+
+
 @dataclass(frozen=True)
 class Wall:
     """A wall: the fixed locus of a reflection, anchored at one edge."""
@@ -288,6 +411,8 @@ class ChamberComplex:
     chamber of the panel of chamber c across edge `label` (in the ball
     or not), `_vertex_size(j)`, the number of chambers around a closed
     vertex j, and the chamber-level `neighbors(c)` and `wdist(a, b)`.
+    A tessellation ball reads its panels off the root-point step that it
+    shares with the catalog; a building ball appends normal-form letters.
     Methods read `self.system` at call time, so a fresh CoxeterSystem
     can replace the word-problem caches between uses.
     """
@@ -366,7 +491,10 @@ class ChamberComplex:
 
 class CoxeterBall(ChamberComplex):
     """All chambers at word length <= radius, assembled as a labeled
-    2-complex with integer-indexed multiplication tables."""
+    2-complex with integer-indexed multiplication tables.  The ball grows
+    by levels through the root-point step (`Tessellation.step`), the one
+    the catalog uses, and reads `rmul` off it; no `canon` call is made
+    while it is built."""
 
     def __init__(self, spec, radius, chamber_cap=2_000_000):
         self.spec = spec
@@ -378,34 +506,28 @@ class CoxeterBall(ChamberComplex):
     # -- group layer ----------------------------------------------------
 
     def _build_group(self, cap):
-        sys_ = self.system
         k = self.spec.k
-        words = [()]
-        index = {(): 0}
-        frontier = [()]
+        tess = Tessellation(self.spec)
+        words = tess.words
+        level, seen = [0], {0}
         for _ in range(self.radius):
             nxt = []
-            for w in frontier:
+            for c in level:
                 for g in range(1, k + 1):
-                    w2 = sys_.canon(w + (g,))
-                    if len(w2) > len(w) and w2 not in index:
-                        index[w2] = len(words)
-                        words.append(w2)
-                        nxt.append(w2)
-                        if len(words) > cap:
+                    d = tess.step(c, g)
+                    if d not in seen:
+                        seen.add(d)
+                        nxt.append(d)
+                        if len(seen) > cap:
                             raise ResourceCap("chamber cap %d exceeded" % cap)
-            frontier = nxt
-        order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
-        self.words = [words[i] for i in order]
+            level = nxt
+        order = sorted(seen, key=lambda t: (len(words[t]), words[t]))
+        self.words = [words[t] for t in order]
         self.index = {w: i for i, w in enumerate(self.words)}
-        # right multiplication table: rmul[c][g - 1] -> index or None
-        self.rmul = []
-        for w in self.words:
-            row = []
-            for g in range(1, k + 1):
-                w2 = sys_.canon(w + (g,))
-                row.append(self.index.get(w2))
-            self.rmul.append(row)
+        # _across[c][g - 1]: the word of the chamber across edge g of c, in
+        # the ball or not; rmul[c][g - 1]: its index, or None
+        self._across = [[words[tess.step(t, g)] for g in range(1, k + 1)] for t in order]
+        self.rmul = [[self.index.get(w) for w in row] for row in self._across]
 
     def neighbors(self, c):
         """Yield (neighbor index, label) over in-ball panel moves."""
@@ -415,9 +537,7 @@ class CoxeterBall(ChamberComplex):
 
     def panel(self, c, label):
         """The words of chamber c and of its neighbor across `label`."""
-        w = self.words[c]
-        d = self.rmul[c][label - 1]
-        return (w, self.words[d] if d is not None else self.system.canon(w + (label,)))
+        return (self.words[c], self._across[c][label - 1])
 
     def _vertex_size(self, j):
         return 2 * self.spec.m_at_vertex(j)

@@ -229,6 +229,37 @@ def test_resource_cap_is_a_report_with_exit_3(capsys, monkeypatch):
     ]
 
 
+def test_coxeter_ball_resource_cap_is_a_report_with_exit_3(capsys, monkeypatch):
+    ball = cli.CoxeterBall
+    monkeypatch.setattr(
+        cli, "CoxeterBall", lambda spec, radius: ball(spec, radius, chamber_cap=20)
+    )
+    code, rep = run(capsys, "coxeter", "ball", "--chamber", "3;2,3,8", "--radius", "6")
+    assert code == 3
+    assert rep["command"] == "coxeter ball"
+    assert rep["witnesses"] == [
+        {"error": "ResourceCap", "message": "chamber cap 20 exceeded"}
+    ]
+
+
+# the direction of a vertex of the 3;2,3,8 chart: a valid ray through it
+# is a computation that ran out, not a usage error
+VERTEX_THETA = "0.7764267989046786"
+
+
+@pytest.mark.parametrize("argv", [
+    ("busemann", "--radius", "6", "--theta", VERTEX_THETA, "--c", "0", "--cp", "1"),
+    ("crossratio", "--thetas", VERTEX_THETA + ",1.9,3.4,5.0"),
+])
+def test_ray_through_a_vertex_is_a_report_with_exit_3(capsys, argv):
+    code, rep = run(capsys, "metrics", argv[0], "--chamber", "3;2,3,8", *argv[1:])
+    assert code == 3
+    assert rep["command"] == "metrics " + argv[0]
+    assert rep["witnesses"] == [
+        {"error": "NearVertex", "message": "crossing at t=0.190007 too close to a vertex"}
+    ]
+
+
 def test_building_retract_passes(capsys):
     code, rep = run(
         capsys, "building", "retract", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",

@@ -12,6 +12,7 @@ from hypbuild.coxeter import (
     BallTooSmall,
     CoxeterBall,
     CoxeterSystem,
+    ResourceCap,
     boundary_components,
     export_complex,
     wall_period,
@@ -255,6 +256,99 @@ def test_ball_deterministic(spec238):
     b = CoxeterBall(spec238, 3)
     assert a.words == b.words
     assert sorted(a.edges) == sorted(b.edges)
+
+
+# ---------------------------------------------------------------------------
+# oracle 3: the ball grown by canon BFS, against the root-point step
+# ---------------------------------------------------------------------------
+
+class _CanonBall(CoxeterBall):
+    """The ball built the way it was before the root-point step: a BFS
+    on `canon`, a second `canon` pass for `rmul`, and `canon` for the
+    panel neighbours outside the ball."""
+
+    def _build_group(self, cap):
+        sys_ = self.system
+        k = self.spec.k
+        words = [()]
+        index = {(): 0}
+        frontier = [()]
+        for _ in range(self.radius):
+            nxt = []
+            for w in frontier:
+                for g in range(1, k + 1):
+                    w2 = sys_.canon(w + (g,))
+                    if len(w2) > len(w) and w2 not in index:
+                        index[w2] = len(words)
+                        words.append(w2)
+                        nxt.append(w2)
+                        if len(words) > cap:
+                            raise ResourceCap("chamber cap %d exceeded" % cap)
+            frontier = nxt
+        order = sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+        self.words = [words[i] for i in order]
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.rmul = [
+            [self.index.get(sys_.canon(w + (g,))) for g in range(1, k + 1)]
+            for w in self.words
+        ]
+
+    def panel(self, c, label):
+        w = self.words[c]
+        d = self.rmul[c][label - 1]
+        return (w, self.words[d] if d is not None else self.system.canon(w + (label,)))
+
+
+def _random_ball_specs(count, seed=9):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(3, 5)
+        m = tuple(rng.choice(ALLOWED_M) for _ in range(k))
+        try:
+            spec = validate(k, m)
+        except ChamberError:
+            continue
+        out.append((spec, rng.randint(2, 5)))
+    return out
+
+
+BALL_ORACLE_CASES = [
+    (validate(3, (2, 3, 8)), 16),
+    (validate(4, (2, 2, 2, 3)), 10),
+    (validate(4, (2, 4, 2, 6)), 8),
+    (validate(3, (3, 3, 4)), 12),
+    (validate(5, (2, 2, 2, 2, 2)), 7),
+] + _random_ball_specs(16)
+
+
+@pytest.mark.parametrize(
+    "spec,radius", BALL_ORACLE_CASES,
+    ids=["%s-R%d" % (",".join(map(str, s.m)), r) for s, r in BALL_ORACLE_CASES],
+)
+def test_ball_matches_canon_bfs_oracle(spec, radius):
+    ball, oracle = CoxeterBall(spec, radius), _CanonBall(spec, radius)
+    assert ball.words == oracle.words
+    assert ball.index == oracle.index
+    assert ball.rmul == oracle.rmul
+    assert ball.edges == oracle.edges
+    assert ball.vertices == oracle.vertices
+
+
+def test_ball_build_makes_no_canon_call(monkeypatch):
+    def refuse(self, word):
+        raise AssertionError("canon called on %r" % (word,))
+
+    monkeypatch.setattr(CoxeterSystem, "canon", refuse)
+    for spec, radius in BALL_ORACLE_CASES[:5]:
+        assert len(CoxeterBall(spec, radius).words[-1]) == radius
+
+
+def test_ball_chamber_cap():
+    spec = validate(3, (2, 3, 8))
+    assert len(CoxeterBall(spec, 5, chamber_cap=37)) == 37
+    with pytest.raises(ResourceCap, match="chamber cap 36 exceeded"):
+        CoxeterBall(spec, 5, chamber_cap=36)
 
 
 # ---------------------------------------------------------------------------
