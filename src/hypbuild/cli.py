@@ -286,6 +286,9 @@ def _cmd_metrics(args, config):
             results=[{"cross_ratio": v, "value": v.value()}],
         )
     if args.sub == "growth":
+        if all(qi == 1 for qi in G.q):
+            raise UsageError("every edge weighs log 1 = 0, so growth never certifies a count; "
+                             "give an apartment host weights above 1 with --q")
         values = []
         step = args.step
         n = 0.0

@@ -406,11 +406,13 @@ class ChamberComplex:
     (rabuilding.BuildingBall).
 
     A subclass sets `spec`, `radius`, `system`, `words` (chamber words,
-    index = position) and `index` (word -> position), then calls
-    `_build_cells`.  It supplies `panel(c, label)`, the words of every
-    chamber of the panel of chamber c across edge `label` (in the ball
-    or not), `_vertex_size(j)`, the number of chambers around a closed
-    vertex j, and the chamber-level `neighbors(c)` and `wdist(a, b)`.
+    index = position) and `index` (word -> position).  It supplies
+    `panel(c, label)`, the words of every chamber of the panel of chamber
+    c across edge `label` (in the ball or not), `_vertex_size(j)`, the
+    number of chambers around a closed vertex j, and the chamber-level
+    `neighbors(c)` and `wdist(a, b)`.  The cells (`edges`, `edge_of`,
+    `is_inner`, `vertices`, `vertex_of`) are built together by
+    `_build_cells` on the first read of any one of them.
     A tessellation ball reads its panels off the root-point step that it
     shares with the catalog; a building ball appends normal-form letters.
     Methods read `self.system` at call time, so a fresh CoxeterSystem
@@ -420,8 +422,12 @@ class ChamberComplex:
     def __len__(self):
         return len(self.words)
 
-    def word_length(self, idx):
-        return len(self.words[idx])
+    def __getattr__(self, name):
+        # only reached when normal lookup fails: a cell not yet built
+        if name not in ("edges", "edge_of", "is_inner", "vertices", "vertex_of"):
+            raise AttributeError(name)
+        self._build_cells()
+        return self.__dict__[name]
 
     def _build_cells(self):
         k = self.spec.k
@@ -494,40 +500,49 @@ class CoxeterBall(ChamberComplex):
     2-complex with integer-indexed multiplication tables.  The ball grows
     by levels through the root-point step (`Tessellation.step`), the one
     the catalog uses, and reads `rmul` off it; no `canon` call is made
-    while it is built."""
+    while it is built.  No chamber past the radius is stepped to: since
+    l(ws) = l(w) +- 1, every in-ball move of a last-level chamber is the
+    reverse of a move from the level below.  The cells are built on
+    first read."""
 
     def __init__(self, spec, radius, chamber_cap=2_000_000):
         self.spec = spec
         self.radius = radius
         self.system = CoxeterSystem(spec)
         self._build_group(chamber_cap)
-        self._build_cells()
 
     # -- group layer ----------------------------------------------------
 
     def _build_group(self, cap):
         k = self.spec.k
-        tess = Tessellation(self.spec)
+        tess = self._tess = Tessellation(self.spec)
         words = tess.words
-        level, seen = [0], {0}
+        level = range(1)
         for _ in range(self.radius):
-            nxt = []
+            start = len(words)
             for c in level:
                 for g in range(1, k + 1):
-                    d = tess.step(c, g)
-                    if d not in seen:
-                        seen.add(d)
-                        nxt.append(d)
-                        if len(seen) > cap:
-                            raise ResourceCap("chamber cap %d exceeded" % cap)
-            level = nxt
-        order = sorted(seen, key=lambda t: (len(words[t]), words[t]))
+                    tess.step(c, g)
+                    if len(words) > cap:
+                        raise ResourceCap("chamber cap %d exceeded" % cap)
+            level = range(start, len(words))
+        order = self._order = sorted(range(len(words)), key=lambda t: (len(words[t]), words[t]))
         self.words = [words[t] for t in order]
         self.index = {w: i for i, w in enumerate(self.words)}
-        # _across[c][g - 1]: the word of the chamber across edge g of c, in
-        # the ball or not; rmul[c][g - 1]: its index, or None
-        self._across = [[words[tess.step(t, g)] for g in range(1, k + 1)] for t in order]
-        self.rmul = [[self.index.get(w) for w in row] for row in self._across]
+        # rmul[c][g - 1]: the index of the chamber across edge g of c; an
+        # unfilled step of a last-level chamber leads out of the ball
+        position = {t: i for i, t in enumerate(order)}
+        self.rmul = [[None if d is None else position[d] for d in tess.rmul[t]] for t in order]
+
+    @cached_property
+    def _across(self):
+        """_across[c][g - 1]: the word of the chamber across edge g of c,
+        in the ball or not; stepped on first use, then the tessellation
+        is dropped."""
+        tess, order = self._tess, self._order
+        del self._tess, self._order
+        k = self.spec.k
+        return [[tess.words[tess.step(t, g)] for g in range(1, k + 1)] for t in order]
 
     def neighbors(self, c):
         """Yield (neighbor index, label) over in-ball panel moves."""

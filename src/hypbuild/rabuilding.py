@@ -128,7 +128,7 @@ def wdist(g, h, spec, system=None):
 
 class BuildingBall(ChamberComplex):
     """All chambers at gallery distance <= radius from the base chamber,
-    with labeled edges and vertices assembled from panels."""
+    with labeled edges and vertices assembled from panels on first read."""
 
     def __init__(self, spec, radius, chamber_cap=2_000_000):
         check_right_angled(spec)
@@ -139,7 +139,6 @@ class BuildingBall(ChamberComplex):
             (i, c) for i in range(1, spec.k + 1) for c in range(1, spec.q[i - 1] + 1)
         ]
         self._build_chambers(chamber_cap)
-        self._build_cells()
 
     # -- chambers -------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import pytest
 
 from hypbuild.chamber import validate
+from hypbuild.coxeter import ChamberComplex
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,14 @@ def pentagon():
 @pytest.fixture(scope="session")
 def pentagon_thick():
     return validate(5, (2, 2, 2, 2, 2), (2, 2, 2, 2, 2))
+
+
+@pytest.fixture
+def no_cells(monkeypatch):
+    """Make building a ball's cells raise, for tests of code paths that
+    must not read them."""
+
+    def refuse(self):
+        raise AssertionError("cells built for a %s" % type(self).__name__)
+
+    monkeypatch.setattr(ChamberComplex, "_build_cells", refuse)

@@ -290,6 +290,18 @@ def test_metrics_growth_report(capsys):
     assert rep["results"][1]["converged"] is False
 
 
+def test_growth_without_weights_is_a_usage_error(capsys):
+    # on a thin host without --q every edge weighs log 1 = 0, so no
+    # radius could certify a count
+    argv = ["metrics", "growth", "--chamber", "3;2,3,8", "--radius", "6", "--n", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--q" in err
+    code, rep = run(capsys, *argv, "--q", "2,3,5")
+    assert code == 0
+    assert rep["results"][0]["growth"][-1]["n"] == 1.0
+
+
 def test_catalog_quads_pentagon_empty(capsys):
     code, rep = run(
         capsys, "catalog", "quads", "--chamber", "5;2,2,2,2,2;2,2,2,2,2"

@@ -10,6 +10,7 @@ from hypbuild import rabuilding as rb
 from hypbuild.chamber import ALLOWED_M, ChamberError, parse_chamber_string, validate
 from hypbuild.coxeter import (
     BallTooSmall,
+    ChamberComplex,
     CoxeterBall,
     CoxeterSystem,
     ResourceCap,
@@ -342,6 +343,47 @@ def test_ball_build_makes_no_canon_call(monkeypatch):
     monkeypatch.setattr(CoxeterSystem, "canon", refuse)
     for spec, radius in BALL_ORACLE_CASES[:5]:
         assert len(CoxeterBall(spec, radius).words[-1]) == radius
+
+
+def test_ball_build_makes_no_cells(no_cells):
+    for spec, radius in BALL_ORACLE_CASES[:5]:
+        ball = CoxeterBall(spec, radius)
+        assert len(ball.words[-1]) == radius
+        # no chamber past the radius has been stepped to
+        assert len(ball._tess) == len(ball)
+
+
+def test_tessellation_dropped_after_cells():
+    ball = CoxeterBall(validate(3, (2, 3, 8)), 6)
+    assert len(ball._tess) == len(ball)
+    assert len(ball.edges) > 0
+    assert not hasattr(ball, "_tess")
+    assert len(ball._across) == len(ball)
+
+
+CELLS = ("edges", "edge_of", "is_inner", "vertices", "vertex_of")
+
+
+@pytest.mark.parametrize("first", CELLS)
+@pytest.mark.parametrize("make", [
+    lambda: CoxeterBall(validate(4, (2, 4, 2, 6)), 5),
+    lambda: rb.ball(validate(5, (2,) * 5, (3, 2, 4, 2, 3)), 2),
+], ids=["thin", "thick"])
+def test_first_cell_read_builds_the_same_cells(monkeypatch, make, first):
+    eager = make()
+    eager._build_cells()
+    want = [getattr(eager, name) for name in CELLS]
+    build, calls = ChamberComplex._build_cells, []
+
+    def counted(self):
+        calls.append(self)
+        build(self)
+
+    monkeypatch.setattr(ChamberComplex, "_build_cells", counted)
+    ball = make()
+    getattr(ball, first)
+    assert [getattr(ball, name) for name in CELLS] == want
+    assert calls == [ball]
 
 
 def test_ball_chamber_cap():

@@ -492,6 +492,16 @@ def _random_quadruple(G, chart, rng):
     return rays
 
 
+def test_boundary_products_read_no_cells(no_cells, monkeypatch, pentagon_thick):
+    # a fresh cache, so the chart is realized under the hook
+    monkeypatch.setattr(mt, "_REALIZED_CACHE", {})
+    G = mt.DualGraph(rb.ball(pentagon_thick, 4))
+    chart = mt.chart_for(G)
+    rays = [_ray(chart, ORIGIN, t) for t in (0.3, 1.9, 3.4, 5.0)]
+    mt.cross_ratio(G, *rays, 0)
+    mt.busemann(G, _ray(chart, ORIGIN, 0.7), 0, 1)
+
+
 def test_cross_ratio_all_through_interior_is_zero(bG):
     chart = mt.chart_for(bG)
     rays = [_ray(chart, ORIGIN, t) for t in (0.3, 1.1, 2.5, 4.0)]

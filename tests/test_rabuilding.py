@@ -199,6 +199,19 @@ def test_sphere_counts_from_coxeter(pentagon_thick, pentagon):
         assert bb.sphere_counts[n] == cox_spheres[n] * 2**n
 
 
+def test_ball_build_makes_no_cells(no_cells, pentagon_thick):
+    assert len(rb.ball(pentagon_thick, 4)) == 1 + 10 + 60 + 320 + 1680
+    rb.ball(validate(5, (2,) * 5, (3, 2, 4, 2, 3)), 3)
+
+
+def test_sphere_counts_at_radius_6(no_cells, pentagon_thick, pentagon):
+    bb = rb.ball(pentagon_thick, 6)
+    cb = CoxeterBall(pentagon, 6)
+    assert len(bb) == 56951
+    cox_spheres = [len([w for w in cb.words if len(w) == n]) for n in range(7)]
+    assert bb.sphere_counts == [cox_spheres[n] * 2**n for n in range(7)]
+
+
 def test_ball_rejects_wrong_specs(spec238, pentagon):
     with pytest.raises(rb.BuildingError):
         rb.ball(spec238, 2)  # not right-angled
@@ -240,7 +253,7 @@ def test_wdist_is_dual_graph_distance(bb3):
 
     spec = bb3.spec
     rng = random.Random(5)
-    inner = [i for i in range(len(bb3)) if bb3.word_length(i) <= 1]
+    inner = [i for i in range(len(bb3)) if len(bb3.words[i]) <= 1]
     for _ in range(15):
         a = rng.choice(inner)
         dist = {a: 0}
@@ -254,7 +267,7 @@ def test_wdist_is_dual_graph_distance(bb3):
         for _ in range(10):
             b = rng.randrange(len(bb3))
             # stay within safely-exact range of the truncated ball
-            if bb3.word_length(b) > 2:
+            if len(bb3.words[b]) > 2:
                 continue
             w = rb.wdist(bb3.words[a], bb3.words[b], spec, bb3.system)
             assert len(w) == dist[b]
