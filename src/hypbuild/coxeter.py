@@ -487,12 +487,13 @@ class ChamberComplex:
         return [k for k, v in self.vertices.items() if v["interior"]]
 
     def adjacency(self):
-        """Yield (c1, c2, label) for each dual-graph edge (unordered,
-        each chamber pair once per shared panel)."""
-        for (_word, label), (_lbl, cs) in self.edges.items():
-            for i in range(len(cs)):
-                for j in range(i + 1, len(cs)):
-                    yield cs[i], cs[j], label
+        """Yield (c1, c2, label) for each dual-graph edge, c1 < c2, by c1
+        then label (each chamber pair once per shared panel); reads no
+        cell."""
+        for c1 in range(len(self.words)):
+            for c2, label in self.neighbors(c1):
+                if c1 < c2:
+                    yield c1, c2, label
 
 
 class CoxeterBall(ChamberComplex):
@@ -539,10 +540,10 @@ class CoxeterBall(ChamberComplex):
         """_across[c][g - 1]: the word of the chamber across edge g of c,
         in the ball or not; stepped on first use, then the tessellation
         is dropped."""
-        tess, order = self._tess, self._order
+        tess, k = self._tess, self.spec.k
+        across = [[tess.words[tess.step(t, g)] for g in range(1, k + 1)] for t in self._order]
         del self._tess, self._order
-        k = self.spec.k
-        return [[tess.words[tess.step(t, g)] for g in range(1, k + 1)] for t in order]
+        return across
 
     def neighbors(self, c):
         """Yield (neighbor index, label) over in-ball panel moves."""

@@ -317,9 +317,7 @@ def _check_shared_edges(realized):
     their shared edge at the same points."""
     ball, matrices = realized.ball, realized.matrices
     k, vertices = ball.spec.k, realized.polygon.vertices
-    pairs = ((c1, c2, label) for c1 in range(len(ball))
-             for c2, label in ball.neighbors(c1) if c1 < c2)
-    for c1, c2, label in pairs:
+    for c1, c2, label in ball.adjacency():
         ends = (vertices[(label - 2) % k], vertices[label - 1])
         pts1 = {_round_pt(mat_apply(matrices[c1], v)) for v in ends}
         pts2 = {_round_pt(mat_apply(matrices[c2], v)) for v in ends}

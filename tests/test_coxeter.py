@@ -14,6 +14,7 @@ from hypbuild.coxeter import (
     CoxeterBall,
     CoxeterSystem,
     ResourceCap,
+    Tessellation,
     boundary_components,
     export_complex,
     wall_period,
@@ -361,14 +362,29 @@ def test_tessellation_dropped_after_cells():
     assert len(ball._across) == len(ball)
 
 
+def test_failed_cell_build_keeps_the_tessellation(monkeypatch):
+    # a step that fails while the panel words are built leaves the ball
+    # able to build its cells on the next read
+    ball = CoxeterBall(validate(3, (2, 3, 8)), 4)
+    with monkeypatch.context() as m:
+        m.setattr(Tessellation, "step", lambda self, c, g: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            ball.edges
+    assert len(ball._tess) == len(ball)
+    assert len(ball.edges) > 0
+
+
 CELLS = ("edges", "edge_of", "is_inner", "vertices", "vertex_of")
 
 
-@pytest.mark.parametrize("first", CELLS)
-@pytest.mark.parametrize("make", [
+MAKE_BALLS = pytest.mark.parametrize("make", [
     lambda: CoxeterBall(validate(4, (2, 4, 2, 6)), 5),
     lambda: rb.ball(validate(5, (2,) * 5, (3, 2, 4, 2, 3)), 2),
 ], ids=["thin", "thick"])
+
+
+@pytest.mark.parametrize("first", CELLS)
+@MAKE_BALLS
 def test_first_cell_read_builds_the_same_cells(monkeypatch, make, first):
     eager = make()
     eager._build_cells()
@@ -384,6 +400,25 @@ def test_first_cell_read_builds_the_same_cells(monkeypatch, make, first):
     getattr(ball, first)
     assert [getattr(ball, name) for name in CELLS] == want
     assert calls == [ball]
+
+
+@MAKE_BALLS
+def test_adjacency_is_one_pair_per_shared_panel(monkeypatch, make):
+    # adjacency walks neighbors and reads no cell; it gives each pair of
+    # in-ball chambers of every edge once, as the edges list them
+    def refuse(self):
+        raise AssertionError("cells built")
+
+    with monkeypatch.context() as m:
+        m.setattr(ChamberComplex, "_build_cells", refuse)
+        ball = make()
+        pairs = list(ball.adjacency())
+    from_edges = [(cs[i], cs[j], label) for (_w, label), (_l, cs) in ball.edges.items()
+                  for i in range(len(cs)) for j in range(i + 1, len(cs))]
+    assert all(c1 < c2 for c1, c2, _ in pairs)
+    assert sorted(pairs) == sorted(from_edges)
+    if isinstance(ball, CoxeterBall):
+        assert pairs == from_edges
 
 
 def test_ball_chamber_cap():
