@@ -3,22 +3,25 @@
 Chambers are realized as normal polygons (prescribed angles, inscribed
 circle) in the hyperboloid model of the hyperbolic plane: points are
 (x0, x1, x2) with x0^2 - x1^2 - x2^2 = 1, x0 > 0, and isometries are
-linear maps preserving the Lorentz form.  Tessellation balls are realized
-by composing edge reflections along words; geodesics are traced through
-the realized chambers; figures are drawn in the Poincare disk projection
-with the incenter of the base chamber at the origin.
+linear maps preserving the Lorentz form.  Balls are realized for
+rendering by composing edge reflections along words, and drawn in the
+Poincare disk projection with the incenter of the base chamber at the
+origin.
 
-Points are located by walking the chart (Devillers-Pion-Teillaud,
-*Walking in a triangulation*, 2002), not by scanning it.  The chambers
-of a reflection tessellation are the Dirichlet domains of the orbit of
-the base barycenter, and each edge geodesic of a chamber is the
-perpendicular bisector of its barycenter and the neighbor's.  So the
-walk starts at the base chamber and crosses an edge whose geodesic
-separates the point from the current chamber until none does; each
-crossing removes one wall between them, so the walk follows a minimal
-gallery, stays in the word-length ball and costs O(word length * k).
-Up to rounding it answers what a scan for the nearest barycenter would.
-Each chamber's edge normals are computed on first use and kept.
+Point location and ray tracing realize no chamber.  They keep the point
+(and tangent) in the current chamber's own frame, where that chamber is
+the base polygon, and carry it across edge i into the next frame by the
+base reflection in edge i.  So they read only the polygon and a thin
+ball's `rmul` and `words`, and no matrix product drifts along a word.
+Points are located by walking (Devillers-Pion-Teillaud, *Walking in a
+triangulation*, 2002), not by scanning: chambers are the Dirichlet
+domains of the orbit of the base barycenter, so crossing an edge that
+separates the point from the current chamber removes one wall between
+them, and the walk follows a minimal gallery in O(word length * k).
+Rays are traced as billiards in the base polygon, along their cutting
+sequences (Bowen-Series, Publ. IHES 50, 1979; Series, ETDS 6, 1986).
+The edge just entered is never tested, so a ray never steps back
+through it.
 """
 
 from __future__ import annotations
@@ -142,6 +145,13 @@ class NormalPolygon:
         self.inradius = inradius
         self.vertices = vertices  # list of k hyperboloid points
         self.tangent_dirs = tangent_dirs  # direction angle of each edge's tangent point
+        # unit normal of each edge geodesic and the reflection in it, by
+        # label - 1
+        self.normals = [
+            geodesic_normal(*self.edge_endpoints(i)) for i in range(1, spec.k + 1)
+        ]
+        self.reflections = [reflection_matrix(u) for u in self.normals]
+        self.barycenter = _normalize_point([sum(v[i] for v in vertices) for i in range(3)])
 
     def edge_endpoints(self, label):
         k = self.spec.k
@@ -249,35 +259,13 @@ class RealizedBall:
         self.ball = ball
         self.polygon = polygon
         self.matrices = matrices
-        # per-chamber caches, filled on first use: one slot per chamber
-        self._barycenters = [None] * len(matrices)
-        self._normals = [None] * len(matrices)
-        self.base_normals = [
-            geodesic_normal(*polygon.edge_endpoints(i))
-            for i in range(1, ball.spec.k + 1)
-        ]
 
     def chamber_vertices(self, c):
         M = self.matrices[c]
         return [mat_apply(M, v) for v in self.polygon.vertices]
 
     def chamber_barycenter(self, c):
-        cached = self._barycenters[c]
-        if cached is None:
-            vs = self.chamber_vertices(c)
-            s = [sum(v[i] for v in vs) for i in range(3)]
-            cached = self._barycenters[c] = _normalize_point(s)
-        return cached
-
-    def edge_normals(self, c):
-        """The unit normals of chamber c's edge geodesics, by label - 1."""
-        cached = self._normals[c]
-        if cached is None:
-            M = self.matrices[c]
-            cached = self._normals[c] = tuple(
-                _normalize_spacelike(mat_apply(M, u)) for u in self.base_normals
-            )
-        return cached
+        return _normalize_point(mat_apply(self.matrices[c], self.polygon.barycenter))
 
     def dedup_count(self, digits=9):
         seen = set()
@@ -294,13 +282,9 @@ def realize(ball):
     prefix-closed and sorted, so the parent comes first) times one
     reflection."""
     polygon = normal_polygon(ball.spec)
-    refl = [
-        reflection_matrix(geodesic_normal(*polygon.edge_endpoints(i)))
-        for i in range(1, ball.spec.k + 1)
-    ]
     matrices = [[[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]]
     for w in ball.words[1:]:
-        M = mat_mul(matrices[ball.index[w[:-1]]], refl[w[-1] - 1])
+        M = mat_mul(matrices[ball.index[w[:-1]]], polygon.reflections[w[-1] - 1])
         defect = lorentz_defect(M)
         if defect > LORENTZ_TOL * max(1, 10 * len(w)):
             raise ToleranceFail(
@@ -335,43 +319,43 @@ def _round_pt(p, digits=6):
 # geodesic tracing
 # ---------------------------------------------------------------------------
 
-def point_in_chamber(realized, p, c, slack=1e-9):
-    """Is p on the chamber's side of all k of its edge geodesics?"""
-    center = realized.chamber_barycenter(c)
-    for u in realized.edge_normals(c):
-        if bform(p, u) * bform(center, u) < -slack:
-            return False
-    return True
-
-
-def locate(realized, p):
-    """Chamber index containing p, or None.
-
-    Walks from the base chamber (index 0, the empty word), each step
-    across the edge whose geodesic separates p from the current chamber
-    the most.  A separating edge leads away from the base chamber, so
-    the walk takes at most `radius` steps.  Taking the most separating
-    edge keeps rounding errors from sending the walk across a wall that
-    p only touches while another wall clearly separates it.  The walk
-    stops where no edge separates p, or where the next step would leave
-    the ball or lead back toward the base (which only rounding can ask
-    for), and answers that chamber if it holds p."""
+def _walk(realized, p, *carried):
+    """Walk from the base chamber (index 0) toward p, each step across
+    the edge whose geodesic separates p from the current chamber the
+    most, carrying p and the `carried` vectors into the next frame.
+    Taking the most separating edge keeps rounding from sending the walk
+    across a wall that p only touches.  The walk stops where no edge
+    separates p, or where the next step would leave the ball or lead
+    back toward the base (which only rounding can ask for).  Returns the
+    chamber, its most negative side product (0.0 when it holds p), and
+    the vectors in its frame."""
+    polygon = realized.polygon
     rmul, words = realized.ball.rmul, realized.ball.words
+    inside = [bform(polygon.barycenter, u) for u in polygon.normals]
+    vecs = (p,) + carried
     c = 0
     while True:
-        center = realized.chamber_barycenter(c)
         worst, label = 0.0, None
-        for i, u in enumerate(realized.edge_normals(c)):
-            side = bform(p, u) * bform(center, u)
+        for i, u in enumerate(polygon.normals):
+            side = bform(vecs[0], u) * inside[i]
             if side < worst:
                 worst, label = side, i
         if label is None:
-            break
+            return c, worst, vecs
         nxt = rmul[c][label]
         if nxt is None or len(words[nxt]) < len(words[c]):
-            break
+            return c, worst, vecs
         c = nxt
-    return c if point_in_chamber(realized, p, c, slack=1e-7) else None
+        vecs = tuple(mat_apply(polygon.reflections[label], x) for x in vecs)
+
+
+def locate(realized, p):
+    """Chamber index containing p, or None, found by `_walk`.  `realized`
+    is anything with a thin ball `.ball` and its `.polygon`: a
+    RealizedBall, or a metrics chart, whose chambers are never
+    realized."""
+    c, worst, _vecs = _walk(realized, p)
+    return c if worst >= -1e-7 else None
 
 
 def tangent_at(p, theta):
@@ -390,57 +374,56 @@ def geodesic_point(p, v, t):
 
 def trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
     """Trace the geodesic from `base` in direction `theta` for hyperbolic
-    arc length `length` through the realized ball.
+    arc length `length` through the thin ball `realized.ball`, in chamber
+    frames (`realized` as for `locate`).
 
     Returns the ordered crossings as (edge label, chamber entered,
     crossing parameter).  Raises NearVertex if a crossing point passes
     within VERTEX_MARGIN * inradius of an edge endpoint, LeftBall if the
-    geodesic exits the realized ball.
+    geodesic exits the ball.
     """
-    margin = VERTEX_MARGIN * realized.polygon.inradius
-    ball = realized.ball
-    k = ball.spec.k
-    c = locate(realized, base)
-    if c is None:
-        raise LeftBall("base point is not inside the realized ball")
+    polygon, rmul = realized.polygon, realized.ball.rmul
+    margin = VERTEX_MARGIN * polygon.inradius
     v = tangent_at(base, theta) if tangent is None else tangent
+    c, worst, (p, v) = _walk(realized, base, v)
+    if worst < -1e-7:
+        raise LeftBall("base point is not inside the ball")
     crossings = []
-    t0 = 0.0
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise ToleranceFail("trace did not terminate")
+    t0 = 0.0  # arc length from base to p
+    entry = None  # the edge p lies on, never crossed again
+    for _ in range(10000):
         best = None
-        for label, u in enumerate(realized.edge_normals(c), 1):
-            bp, bv = bform(base, u), bform(v, u)
-            denom = bv
-            if abs(denom) < 1e-15:
+        for label, u in enumerate(polygon.normals, 1):
+            bv = bform(v, u)
+            if label == entry or abs(bv) < 1e-15:
                 continue
-            x = -bp / denom
-            if abs(x) >= 1.0:
-                continue
-            t = math.atanh(x)
-            if t <= t0 + 1e-12:
-                continue
-            if best is None or t < best[0]:
-                best = (t, label)
-        if best is None or best[0] >= length:
+            # tanh of the arc length to the edge geodesic
+            x = -bform(p, u) / bv
+            if 1e-12 < x < 1.0 and (best is None or x < best[0]):
+                best = (x, label)
+        t = math.atanh(best[0]) if best else math.inf
+        if t0 + t >= length:
             return crossings
-        t, label = best
-        xpt = _normalize_point(geodesic_point(base, v, t))
-        vs = realized.chamber_vertices(c)
-        va, vb = vs[(label - 2) % k], vs[label - 1]
+        label = best[1]
+        xpt = _normalize_point(geodesic_point(p, v, t))
+        va, vb = polygon.edge_endpoints(label)
         if hyp_distance(xpt, va) < margin or hyp_distance(xpt, vb) < margin:
-            raise NearVertex("crossing at t=%.6f too close to a vertex" % t)
-        nxt = ball.rmul[c][label - 1]
+            raise NearVertex("crossing at t=%.6f too close to a vertex" % (t0 + t))
+        nxt = rmul[c][label - 1]
         if nxt is None:
             if stop_at_boundary:
                 return crossings
-            raise LeftBall("geodesic exits the ball at t=%.6f" % t)
-        c = nxt
-        crossings.append((label, c, t))
-        t0 = t
+            raise LeftBall("geodesic exits the ball at t=%.6f" % (t0 + t))
+        # the tangent at the crossing, then both into the next frame
+        ch, sh = math.cosh(t), math.sinh(t)
+        w = tuple(sh * p[i] + ch * v[i] for i in range(3))
+        refl = polygon.reflections[label - 1]
+        p = _normalize_point(mat_apply(refl, xpt))
+        w = mat_apply(refl, w)
+        v = _normalize_spacelike(tuple(w[i] - bform(w, p) * p[i] for i in range(3)))
+        c, entry, t0 = nxt, label, t0 + t
+        crossings.append((label, c, t0))
+    raise ToleranceFail("trace did not terminate")
 
 
 # ---------------------------------------------------------------------------

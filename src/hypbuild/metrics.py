@@ -27,16 +27,19 @@ Two independent distance engines are provided:
   boundary machinery.
 
 Boundary points are finite-horizon ray surrogates: a RaySpec traces a
-geodesic through a realized apartment chart and induces a chamber
-sequence in the host; Gromov products, Busemann cocycles and cross
-ratios are stabilized limits along those sequences, and a failure to
-stabilize is always surfaced, never truncated silently.
+geodesic through an apartment chart, a thin ball whose chambers are
+never realized (geomrender traces in each chamber's own frame), and
+induces a chamber sequence in the host; Gromov products, Busemann
+cocycles and cross ratios are stabilized limits along those sequences,
+and a failure to stabilize is always surfaced, never truncated
+silently.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -164,23 +167,29 @@ def gromov(G, x, y, C):
 # apartment charts and ray surrogates
 # ---------------------------------------------------------------------------
 
+# a thin ball and its normal polygon: all that geomrender.locate and
+# trace read
+Apartment = namedtuple("Apartment", "ball polygon")
+
 _REALIZED_CACHE = {}
 
 
 def realized_apartment(spec, radius):
-    """Realized thin tessellation ball for the spec's Coxeter system
-    (shared cache; geometry does not depend on thickness)."""
+    """The thin tessellation ball of the spec's Coxeter system with its
+    normal polygon (shared cache; geometry does not depend on
+    thickness).  No chamber is realized: rays are traced in chamber
+    frames."""
     key = (spec.k, spec.m, radius)
     if key not in _REALIZED_CACHE:
         thin = validate(spec.k, spec.m)
-        _REALIZED_CACHE[key] = gr.realize(CoxeterBall(thin, radius))
+        _REALIZED_CACHE[key] = Apartment(CoxeterBall(thin, radius), gr.normal_polygon(thin))
     return _REALIZED_CACHE[key]
 
 
 class ApartmentChart:
-    """A realized apartment together with the map from its chambers to
-    host chambers.  For a tessellation host the map is the identity; for
-    a building host it is an ApartmentColoring."""
+    """An apartment (thin ball and polygon) together with the map from
+    its chambers to host chambers.  For a tessellation host the map is
+    the identity; for a building host it is an ApartmentColoring."""
 
     def __init__(self, graph, realized, coloring=None):
         self.graph = graph
@@ -243,7 +252,12 @@ class RaySpec:
                 realized, self.base, self.theta, 1e9,
                 tangent=self.tangent, stop_at_boundary=True,
             )
-            start = gr.locate(realized, self.base)
+            if crossings:
+                # the first crossing leads back to the start across its edge
+                label, first, _t = crossings[0]
+                start = realized.ball.rmul[first][label - 1]
+            else:
+                start = gr.locate(realized, self.base)
             self._chambers = [start] + [c for _lbl, c, _t in crossings]
         return self._chambers
 
@@ -263,7 +277,7 @@ class RaySpec:
 
 def segment_chambers(chart, p, r):
     """Ordered host chambers whose interiors the geodesic segment pr
-    meets, traced in the realized carrying apartment."""
+    meets, traced in the carrying apartment."""
     realized = chart.realized
     cp = gr.locate(realized, p)
     cr = gr.locate(realized, r)
@@ -586,7 +600,7 @@ def _skeleton_quadruples(G, label, samples, rng):
         # thick hosts handled through panel charts below
         sides = [rng.choice((1, -1)) for _ in range(4)]
         use_branch = isinstance(G.ball, rb.BuildingBall) and s % 3 == 2
-        normal = _wall_normal(realized, label)
+        normal = realized.polygon.normals[label - 1]
         rays = []
         for r_idx in range(4):
             toward = neg if r_idx < 2 else along
@@ -611,10 +625,6 @@ def _skeleton_quadruples(G, label, samples, rng):
             )
         )
     return quads
-
-
-def _wall_normal(realized, label):
-    return realized.base_normals[label - 1]
 
 
 def _generic_quadruples(G, theta, samples, rng):
@@ -735,7 +745,7 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
     label = sigma_label
     refl = sysc.canon((label,))
     mid, along = _wall_frame(realized, label)
-    normal = _wall_normal(realized, label)
+    normal = realized.polygon.normals[label - 1]
     inr = realized.polygon.inradius
 
     if xi1 is not None or xi2 is not None:

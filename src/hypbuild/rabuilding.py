@@ -109,17 +109,15 @@ def inverse_word(word, spec):
     return normal_form(inv, spec)
 
 
-def wdist(g, h, spec, system=None):
-    """W-valued distance: the reduced Coxeter word of g^{-1} h.
+def wdist(g, h, spec):
+    """W-valued distance: the ShortLex reduced Coxeter word of g^{-1} h.
 
     Projects the normal form of g^{-1} h letterwise by (i, c) -> s_i;
-    the word length is the gallery distance between the chambers.
+    the labels of a normal form are already the ShortLex word of W, and
+    its length is the gallery distance between the chambers.
     """
     delta = normal_form(inverse_word(g, spec) + tuple(h), spec)
-    word = tuple(i for (i, _c) in delta)
-    if system is not None:
-        word = system.canon(word)
-    return word
+    return tuple(i for (i, _c) in delta)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,7 @@ class BuildingBall(ChamberComplex):
 
     def wdist(self, a, b):
         """The ShortLex W-distance word from chamber a to chamber b."""
-        return wdist(self.words[a], self.words[b], self.spec, self.system)
+        return wdist(self.words[a], self.words[b], self.spec)
 
     # -- cells ----------------------------------------------------------
 
@@ -242,7 +240,7 @@ class ApartmentColoring:
     def position_of(self, chamber):
         """Apartment coordinate w with alpha(w) = chamber, or None if the
         chamber does not lie on this apartment."""
-        w = wdist(self.base, chamber, self.system.spec, self.system)
+        w = wdist(self.base, chamber, self.system.spec)
         return w if self.alpha(w) == tuple(chamber) else None
 
     def to_pairs(self):
@@ -270,7 +268,7 @@ def retraction(ball, A, C):
         raise BuildingError("NotOnApartment", "center chamber not on the apartment")
 
     def retract(D):
-        delta = wdist(C, D, spec, system)
+        delta = wdist(C, D, spec)
         return A.alpha(system.canon(w_C + delta))
 
     return retract

@@ -1,5 +1,6 @@
 import pytest
 
+from hypbuild import geomrender as gr
 from hypbuild.chamber import validate
 from hypbuild.coxeter import ChamberComplex
 
@@ -38,3 +39,15 @@ def no_cells(monkeypatch):
         raise AssertionError("cells built for a %s" % type(self).__name__)
 
     monkeypatch.setattr(ChamberComplex, "_build_cells", refuse)
+
+
+@pytest.fixture
+def no_realize(monkeypatch):
+    """Make realizing a ball raise, for tests of code paths that must
+    trace and locate in chamber frames."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ball was realized")
+
+    monkeypatch.setattr(gr, "realize", refuse)
+    monkeypatch.setattr(gr.RealizedBall, "__init__", refuse)

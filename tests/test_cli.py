@@ -89,6 +89,11 @@ PINNED_REPORTS = [
     (["metrics", "crossratio", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
       "--host", "building", "--radius", "4", "--thetas", "0.3,1.9,3.4,5.0"],
      0, "c469a90c7242e228edb90e0bec152c05b1bfea5f168021947ae6deb3b7d01055"),
+    # measured once rays stopped stepping back through the edge just
+    # crossed: sample 13 is NoStabilization, 19 samples
+    (["metrics", "detect-skeleton", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+      "--host", "building", "--radius", "5", "--label", "5"],
+     0, "54f0c56923598205d199017b61a4c6eaa3467e6686345385e2d8fb57ba2c812f"),
 ]
 
 
@@ -97,6 +102,15 @@ def test_seeded_report_bytes_pinned(capsys, argv, code, digest):
     assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_detect_skeleton_on_the_radius_6_building(capsys):
+    # the chart (radius 9) is traced in chamber frames, not realized
+    code, rep = run(capsys, "metrics", "detect-skeleton", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+                    "--host", "building", "--radius", "6", "--label", "1")
+    assert code == 0
+    assert rep["verdicts"][0]["pass"] is True
+    assert rep["results"][0]["samples"] == 19
 
 
 # sha256 of the catalog reports of the benchmark's `cli` workload,

@@ -110,16 +110,27 @@ def test_realize_pentagon_dedup(pentagon):
 # point location
 # ---------------------------------------------------------------------------
 
-def _scan_locate(realized, p):
-    """Oracle: the chamber with the nearest barycenter, found by scanning
-    every realized chamber, if it holds p.  In exact arithmetic this is
-    the chamber that locate's walk reaches."""
+def _point_in_chamber(realized, p, c, slack):
+    """Is p on the chamber's side of all k of its edge geodesics?"""
+    M = realized.matrices[c]
+    center = realized.chamber_barycenter(c)
+    for u in realized.polygon.normals:
+        u = gr._normalize_spacelike(gr.mat_apply(M, u))
+        if gr.bform(p, u) * gr.bform(center, u) < -slack:
+            return False
+    return True
+
+
+def _scan_locate(realized, centers, p):
+    """Oracle: the chamber with the nearest barycenter (`centers`, by
+    chamber), found by scanning every realized chamber, if it holds p.
+    In exact arithmetic this is the chamber that locate's walk reaches."""
     best, best_d = None, None
-    for c in range(len(realized.matrices)):
-        d = gr.bform(p, realized.chamber_barycenter(c))
+    for c, center in enumerate(centers):
+        d = gr.bform(p, center)
         if best_d is None or d < best_d:
             best, best_d = c, d
-    return best if gr.point_in_chamber(realized, p, best, slack=1e-7) else None
+    return best if _point_in_chamber(realized, p, best, slack=1e-7) else None
 
 
 def _combine(points, weights):
@@ -160,13 +171,14 @@ def test_locate_matches_scan_oracle(k, m, radius):
     real = gr.realize(CoxeterBall(validate(k, m), radius))
     ball = real.ball
     polygon = real.polygon
-    refl = [gr.reflection_matrix(u) for u in real.base_normals]
+    refl = polygon.reflections
+    centers = [real.chamber_barycenter(c) for c in range(len(ball))]
     rng = random.Random(100 * k + radius)
     # inside: a sampled chamber's own point, often close to its boundary
     for _ in range(300):
         c = rng.randrange(len(ball))
         p = gr.mat_apply(real.matrices[c], _base_sample(polygon, rng))
-        assert gr.locate(real, p) == _scan_locate(real, p) == c
+        assert gr.locate(real, p) == _scan_locate(real, centers, p) == c
     # outside: interior points of chambers one or two steps past the ball
     rim = [(c, g) for c in range(len(ball)) for g in range(k) if ball.rmul[c][g] is None]
     for _ in range(100):
@@ -181,7 +193,7 @@ def test_locate_matches_scan_oracle(k, m, radius):
         inner = _combine(vs + [(1.0, 0.0, 0.0)], [rng.uniform(0.2, 1.0) for _ in vs] + [1.0])
         p = gr.mat_apply(M, inner)
         assert gr.locate(real, p) is None
-        assert _scan_locate(real, p) is None
+        assert _scan_locate(real, centers, p) is None
 
 
 # ---------------------------------------------------------------------------

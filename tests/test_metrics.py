@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from hypbuild import geomrender as gr, metrics as mt, rabuilding as rb
+from hypbuild.chamber import validate
 from hypbuild.coxeter import CoxeterBall
 from hypbuild.weights import WeightVector
 
@@ -432,7 +433,7 @@ def _edge_midpoint_rays(G):
         tuple(mid[i] + 0.02 * inr * (o1[i] - mid[i]) for i in range(3))
     )
     xi1 = _ray(chart0, into_c1, 0.0, tangent=_aim(into_c1, o1))
-    mirror = realized.matrices[realized.ball.index[(1,)]]
+    mirror = realized.polygon.reflections[0]
     o2 = gr._normalize_point(gr.mat_apply(mirror, o1))
     into_c2 = gr._normalize_point(
         tuple(mid[i] + 0.02 * inr * (o2[i] - mid[i]) for i in range(3))
@@ -492,14 +493,39 @@ def _random_quadruple(G, chart, rng):
     return rays
 
 
-def test_boundary_products_read_no_cells(no_cells, monkeypatch, pentagon_thick):
-    # a fresh cache, so the chart is realized under the hook
+def test_boundary_products_read_no_cells(no_cells, no_realize, monkeypatch, pentagon_thick):
+    # a fresh cache, so the chart is made under the hooks: its ball builds
+    # no cells, and no ball is realized on the ray path
     monkeypatch.setattr(mt, "_REALIZED_CACHE", {})
     G = mt.DualGraph(rb.ball(pentagon_thick, 4))
     chart = mt.chart_for(G)
     rays = [_ray(chart, ORIGIN, t) for t in (0.3, 1.9, 3.4, 5.0)]
     mt.cross_ratio(G, *rays, 0)
     mt.busemann(G, _ray(chart, ORIGIN, 0.7), 0, 1)
+    rep = mt.detect_skeleton_experiment(G, ("wall", 1), samples=6, seed=0)
+    assert rep["samples"] + len(rep["errors"]) == 6
+
+
+@pytest.mark.parametrize("k,m,radius", [(5, (2, 2, 2, 2, 2), 8), (3, (2, 3, 8), 24)])
+def test_traced_rays_never_revisit_a_chamber(k, m, radius):
+    # a geodesic crosses each wall at most once, so a traced ray never
+    # enters a chart chamber twice, however far it runs
+    chart = mt.realized_apartment(validate(k, m), radius)
+    rng = random.Random(1)
+    traced = 0
+    for _ in range(1000):
+        phi, d = rng.uniform(0, 2 * math.pi), rng.uniform(0, 0.2)
+        base = (math.cosh(d), math.sinh(d) * math.cos(phi), math.sinh(d) * math.sin(phi))
+        try:
+            crossings = gr.trace(
+                chart, base, rng.uniform(0, 2 * math.pi), 1e9, stop_at_boundary=True
+            )
+        except gr.NearVertex:
+            continue
+        chambers = [gr.locate(chart, base)] + [c for _l, c, _t in crossings]
+        assert len(set(chambers)) == len(chambers)
+        traced += 1
+    assert traced >= 990
 
 
 def test_cross_ratio_all_through_interior_is_zero(bG):
@@ -595,7 +621,7 @@ def test_detect_side_explicit_pairs(bG):
     chart0 = mt.chart_for(bG)
     realized = chart0.realized
     mid, along = mt._wall_frame(realized, 1)
-    normal = mt._wall_normal(realized, 1)
+    normal = realized.polygon.normals[0]
     inr = realized.polygon.inradius
     neg = tuple(-x for x in along)
     tn = math.atan2(neg[2], neg[1])
@@ -613,7 +639,7 @@ def test_detect_side_wall_crossing_rejected(bG):
     chart0 = mt.chart_for(bG)
     realized = chart0.realized
     mid, along = mt._wall_frame(realized, 1)
-    normal = mt._wall_normal(realized, 1)
+    normal = realized.polygon.normals[0]
     inr = realized.polygon.inradius
     neg = tuple(-x for x in along)
     tn = math.atan2(neg[2], neg[1])

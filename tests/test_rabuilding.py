@@ -244,7 +244,7 @@ def test_wdist_examples(pentagon_thick, bb3):
     g = ((1, 1), (3, 2))
     assert rb.wdist(g, g, spec) == ()
     assert rb.wdist((), ((1, 1),), spec) == (1,)
-    assert rb.wdist((), ((1, 1), (3, 2)), spec, bb3.system) == (1, 3)
+    assert rb.wdist((), ((1, 1), (3, 2)), spec) == (1, 3)
 
 
 def test_wdist_is_dual_graph_distance(bb3):
@@ -269,7 +269,7 @@ def test_wdist_is_dual_graph_distance(bb3):
             # stay within safely-exact range of the truncated ball
             if len(bb3.words[b]) > 2:
                 continue
-            w = rb.wdist(bb3.words[a], bb3.words[b], spec, bb3.system)
+            w = rb.wdist(bb3.words[a], bb3.words[b], spec)
             assert len(w) == dist[b]
 
 
@@ -299,7 +299,7 @@ def test_apartment_contains_both_endpoints(bb3):
         C = bb3.words[rng.randrange(len(bb3))]
         D = bb3.words[rng.randrange(len(bb3))]
         A = rb.apartment_through(bb3, C, D)
-        delta = rb.wdist(C, D, bb3.spec, bb3.system)
+        delta = rb.wdist(C, D, bb3.spec)
         assert A.alpha(()) == C
         assert A.alpha(delta) == D
         assert A.position_of(C) == ()
@@ -315,7 +315,7 @@ def test_apartment_is_distance_preserving(bb3):
         A = rb.apartment_through(bb3, C, D)
         w1 = sysc.canon(tuple(rng.choice((1, 2, 3, 4, 5)) for _ in range(3)))
         w2 = sysc.canon(tuple(rng.choice((1, 2, 3, 4, 5)) for _ in range(3)))
-        lhs = rb.wdist(A.alpha(w1), A.alpha(w2), bb3.spec, sysc)
+        lhs = rb.wdist(A.alpha(w1), A.alpha(w2), bb3.spec)
         assert lhs == sysc.canon(tuple(reversed(w1)) + w2)
 
 
@@ -332,7 +332,6 @@ def test_apartment_serialization(bb3):
 
 def test_retraction_properties(bb3):
     spec = bb3.spec
-    sysc = bb3.system
     rng = random.Random(3)
     C = bb3.words[11]
     D0 = bb3.words[231]
@@ -341,8 +340,8 @@ def test_retraction_properties(bb3):
     for _ in range(100):
         E = bb3.words[rng.randrange(len(bb3))]
         img = r(E)
-        dE = rb.wdist(C, E, spec, sysc)
-        dI = rb.wdist(C, img, spec, sysc)
+        dE = rb.wdist(C, E, spec)
+        dI = rb.wdist(C, img, spec)
         # W-distance from the center is preserved exactly
         assert dI == dE
         # chambers on the apartment are fixed
