@@ -507,9 +507,10 @@ def main(argv=None):
     t0 = time.time()
     try:
         report = args.handler(args, config)
-    except (ArithmeticError, ResourceCap, gr.NearVertex, gr.LeftBall) as exc:
-        # the ray horizon, the numerics or a resource cap ran out, or a
-        # valid ray met a vertex or left the ball: a report, not a traceback
+    except (ArithmeticError, ResourceCap, gr.NearVertex, gr.LeftBall, mt.HorizonTooSmall) as exc:
+        # the ray horizon, the ball radius, the numerics or a resource cap
+        # ran out, or a valid ray met a vertex or left the ball: a report,
+        # not a traceback
         command = args.command if args.sub == args.command else "%s %s" % (args.command, args.sub)
         report = _emit(command, config,
                        witnesses=[{"error": type(exc).__name__, "message": str(exc)}])

@@ -5,10 +5,9 @@ labeled i are joined by an edge of length log q_i.  All metric values
 are exact WeightVectors (integer or half-integer combinations of logs of
 primes), compared exactly; floats only appear in the Dijkstra heap key
 (a hint: the exact comparison decides every relaxation), in the growth
-radius threshold, in reported `value`s and in the quasi-metric
-surrogate.  Rays are traced in floats, but a chamber is always named by
-its exact word, and which side of a wall it lies on is one word-problem
-query (CoxeterSystem.separates).
+radius threshold and in reported `value`s.  Rays are traced in floats,
+but a chamber is always named by its exact word, and which side of a
+wall it lies on is one word-problem query (CoxeterSystem.separates).
 
 The host ball is a CoxeterBall (a thin apartment) or a
 rabuilding.BuildingBall.  Both give the chamber interface of
@@ -24,7 +23,19 @@ Two independent distance engines are provided:
 * ``wall_sum``: the separating-wall decomposition — the minimum, over
   reduced words of the W-distance, of the sum of the crossed walls'
   edge weights.  This is intrinsic (needs no ball) and backs all the
-  boundary machinery.
+  boundary machinery.  Reduced words of one element differ only by
+  braid moves (Matsumoto), and a braid move at a vertex of odd m trades
+  one letter for the other; so when q agrees across every vertex of odd
+  m (the weights are constant on conjugacy classes of generators, as on
+  every right-angled building) all reduced words have one weight, the
+  letter sum of the ShortLex word.  Otherwise the minimum is searched
+  over reduced words (``_minw``).
+
+Each cached wall sum is also packed into one int (WeightVector.pack,
+one 64-bit field per prime of the weights).  A boundary Gromov table
+holds 2{C_i|D_j}_C = |C_i - C| + |D_j - C| - |C_i - D_j| as such ints,
+so stabilization compares ints, and only the stable value is unpacked
+and halved; Busemann sequences work the same way.
 
 Boundary points are finite-horizon ray surrogates: a RaySpec traces a
 geodesic through an apartment chart, a thin ball whose chambers are
@@ -81,10 +92,22 @@ class DualGraph:
         self.ball = ball
         self.spec = ball.spec
         self.q = tuple(q) if q is not None else tuple(ball.spec.q)
-        if len(self.q) != ball.spec.k:
+        k = ball.spec.k
+        if len(self.q) != k:
             raise ValueError("need one weight per edge label")
         self.weights = [WeightVector.log_int(qi) for qi in self.q]
+        # the primes of the packed wall sums (WeightVector.pack)
+        self.primes = tuple(sorted({p for w in self.weights for p in w.exponents()}))
+        self._label_codes = [w.pack(self.primes) for w in self.weights]
+        # braid moves at a vertex of odd m trade one letter for the other,
+        # so the letter sum is the same on every reduced word exactly
+        # when q agrees across each such vertex (vertex j joins edges j
+        # and j + 1)
+        self.letter_sum = all(
+            ball.spec.m[j] % 2 == 0 or self.q[j] == self.q[(j + 1) % k] for j in range(k)
+        )
         self._minw_cache = {(): WeightVector.zero()}
+        # (C, Cp) with C <= Cp -> (wall sum, its packed code)
         self._pair_cache = {}
 
     def __len__(self):
@@ -99,7 +122,7 @@ class DualGraph:
         table = self.dist_from(C, target=Cp)
         if Cp not in table:
             raise Disconnected("no path between chambers %d and %d" % (C, Cp))
-        return table[Cp]
+        return table[Cp].shared()
 
     def dist_from(self, C, target=None):
         """Single-source Dijkstra; exact WeightVector distances with
@@ -131,12 +154,30 @@ class DualGraph:
         key = (C, Cp) if C <= Cp else (Cp, C)
         cached = self._pair_cache.get(key)
         if cached is None:
-            cached = self.min_word_weight(self.ball.wdist(key[0], key[1]))
-            self._pair_cache[key] = cached
-        return cached
+            value = self.min_word_weight(self.ball.wdist(key[0], key[1])).shared()
+            cached = self._pair_cache[key] = (value, value.pack(self.primes))
+        return cached[0]
+
+    def wall_code(self, C, Cp):
+        """wall_sum(C, Cp) packed over self.primes, for exact sums and
+        differences in ints."""
+        key = (C, Cp) if C <= Cp else (Cp, C)
+        cached = self._pair_cache.get(key)
+        if cached is None:
+            self.wall_sum(C, Cp)
+            cached = self._pair_cache[key]
+        return cached[1]
 
     def min_word_weight(self, word):
-        return self._minw(self.ball.system.canon(tuple(word)))
+        """The least weight of a reduced word of the element `word`: the
+        letter sum of its ShortLex word when the weights are constant on
+        conjugacy classes of generators, else the least sum over its
+        reduced words."""
+        word = self.ball.system.canon(tuple(word))
+        if not self.letter_sum:
+            return self._minw(word)
+        codes = self._label_codes
+        return WeightVector.unpack(sum(codes[i - 1] for i in word), self.primes)
 
     def _minw(self, word):
         cached = self._minw_cache.get(word)
@@ -212,16 +253,6 @@ def chart_for(graph, chart_radius=None, coloring=None):
     return ApartmentChart(graph, realized, coloring)
 
 
-def chart_through(graph, C, Cp, chart_radius=None):
-    """A chart whose apartment contains both host chambers; the chart
-    origin is placed at C."""
-    if not isinstance(graph.ball, rb.BuildingBall):
-        return chart_for(graph, chart_radius)
-    ball = graph.ball
-    coloring = rb.apartment_through(ball, ball.words[C], ball.words[Cp])
-    return chart_for(graph, chart_radius, coloring)
-
-
 @dataclass
 class RaySpec:
     """A finite-horizon boundary-point surrogate: a geodesic ray traced
@@ -275,27 +306,6 @@ class RaySpec:
         return self._seq
 
 
-def segment_chambers(chart, p, r):
-    """Ordered host chambers whose interiors the geodesic segment pr
-    meets, traced in the carrying apartment."""
-    realized = chart.realized
-    cp = gr.locate(realized, p)
-    cr = gr.locate(realized, r)
-    if cp is None or cr is None:
-        raise NoApartment("segment endpoints not inside the carrying apartment")
-    length = gr.hyp_distance(p, r)
-    if length < 1e-12:
-        return [chart.to_host(cp)]
-    t = tuple(r[i] - gr.bform(r, p) * p[i] for i in range(3))
-    s = math.sqrt(-gr.bform(t, t))
-    tangent = tuple(x / s for x in t)
-    crossings = gr.trace(realized, p, 0.0, length, tangent=tangent)
-    seq = [chart.to_host(cp)] + [chart.to_host(c) for _l, c, _t in crossings]
-    if any(c is None for c in seq):
-        raise NoApartment("segment leaves the host ball")
-    return seq
-
-
 # ---------------------------------------------------------------------------
 # stabilized boundary quantities
 # ---------------------------------------------------------------------------
@@ -318,25 +328,27 @@ def _require_distinct(xi, eta):
 def boundary_gromov(G, xi, eta, C):
     """Stabilized boundary Gromov product {xi|eta}_C: the double sequence
     {C_i|D_j}_C along the two ray chamber sequences, required constant
-    from some index on through the traced horizon."""
+    from some index on through the traced horizon.  The table holds
+    twice each product as an int, from packed wall sums (wall_code);
+    only the stable value is unpacked and halved."""
     _require_distinct(xi, eta)
     Ci = xi.chamber_sequence()
     Dj = eta.chamber_sequence()
     horizon = min(len(Ci), len(Dj))
     if horizon < _MIN_TAIL + 1:
         raise NoStabilization("ray horizon too short", (len(Ci), len(Dj)))
-    dC = [G.wall_sum(Ci[i], C) for i in range(horizon)]
-    dD = [G.wall_sum(Dj[j], C) for j in range(horizon)]
-    vals = [
-        [(dC[i] + dD[j] - G.wall_sum(Ci[i], Dj[j])).halve() for j in range(horizon)]
-        for i in range(horizon)
-    ]
-    value, index = _stable_tail(vals)
+    code = G.wall_code
+    Ci, Dj = Ci[:horizon], Dj[:horizon]
+    dC = [code(c, C) for c in Ci]
+    dD = [code(d, C) for d in Dj]
+    vals = [[dc + dd - code(c, d) for d, dd in zip(Dj, dD)] for c, dc in zip(Ci, dC)]
+    twice, index = _stable_tail(vals)
     if index >= horizon - _MIN_TAIL:
         raise NoStabilization(
             "boundary Gromov product did not stabilize within the horizon",
             {"horizon": horizon},
         )
+    value = WeightVector.unpack(twice, G.primes).halve().shared()
     return Stabilized(value=value, index=index, horizon=horizon)
 
 
@@ -360,16 +372,21 @@ def _stable_tail(vals):
 
 def busemann(G, xi, C, D):
     """Stabilized Busemann cocycle B_xi(C, D): the eventual constant of
-    |D - C_i| - |C - C_i| along the ray chamber sequence."""
+    |D - C_i| - |C - C_i| along the ray chamber sequence, computed on
+    packed wall sums."""
     Ci = xi.chamber_sequence()
     horizon = len(Ci)
     if horizon < _MIN_TAIL + 1:
         raise NoStabilization("ray horizon too short", horizon)
-    vals = [G.wall_sum(D, Ci[i]) - G.wall_sum(C, Ci[i]) for i in range(horizon)]
+    code = G.wall_code
+    vals = [code(D, c) - code(C, c) for c in Ci]
     value, index = _stable_suffix(vals)
     if index >= horizon - _MIN_TAIL:
-        raise NoStabilization("Busemann value did not stabilize", vals[-3:])
-    return value
+        raise NoStabilization(
+            "Busemann value did not stabilize",
+            [WeightVector.unpack(v, G.primes) for v in vals[-3:]],
+        )
+    return WeightVector.unpack(value, G.primes).shared()
 
 
 def _stable_suffix(vals):
@@ -390,11 +407,11 @@ def cross_ratio(G, xi1, xi2, eta1, eta2, C):
     b = boundary_gromov(G, xi2, eta2, C).value
     c = boundary_gromov(G, xi1, eta2, C).value
     d = boundary_gromov(G, xi2, eta1, C).value
-    return -a - b + c + d
+    return (-a - b + c + d).shared()
 
 
 # ---------------------------------------------------------------------------
-# growth and the quasi-metric surrogate
+# growth
 # ---------------------------------------------------------------------------
 
 def growth(G, n, base=0):
@@ -438,14 +455,6 @@ def tau_estimate(G, nmax, base=0):
         note="finite-horizon estimate; the growth exponent is a limsup and "
         "is not certified by any finite ball",
     )
-
-
-def quasi_dist(G, xi, eta, C, tau_hat):
-    """Quasi-metric surrogate exp(-tau_hat * {xi|eta}_C); the chain
-    construction underlying the true visual metric is out of scope."""
-    _require_distinct(xi, eta)
-    value = boundary_gromov(G, xi, eta, C).value
-    return math.exp(-tau_hat * value.value())
 
 
 # ---------------------------------------------------------------------------

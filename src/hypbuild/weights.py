@@ -9,6 +9,15 @@ exponent vector alone.  Order is exact too: sum n_p log p has the sign
 of log(prod_{n_p>0} p^n_p / prod_{n_p<0} p^-n_p), so two integer
 products decide it.  Floats only appear in value(), which reports and
 heuristics read and no comparison does.
+
+A WeightVector computes its hash on first use: most values are
+intermediate sums that are compared, never hashed.  shared() returns
+the one instance of a value held in a module-level table of at most
+SHARED_CAP entries (past the cap a value is its own instance), so
+results that are kept, such as distances and cross ratios, do not each
+carry a copy.  pack() and unpack() encode a value as one integer over a
+fixed list of primes, one signed 64-bit field per prime, so that sums
+and differences of values are sums and differences of ints.
 """
 
 from __future__ import annotations
@@ -47,6 +56,19 @@ def _sign(a, b):
     return (up > down) - (up < down)
 
 
+# the shared-instance table (WeightVector.shared) holds at most this many values
+SHARED_CAP = 4096
+_SHARED = {}
+
+# pack(): one field of _FIELD_BITS bits per prime.  A packed field holds
+# |n| < 2**_PACK_BITS, so a sum or difference of up to four packed values
+# still fits the signed field and unpacks exactly.
+_FIELD_BITS = 64
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD_SIGN = 1 << (_FIELD_BITS - 1)
+_PACK_BITS = _FIELD_BITS - 3
+
+
 class WeightVector:
     """value = 1/2 * sum over primes of halves[p] * log p.
 
@@ -64,7 +86,15 @@ class WeightVector:
                 if n:
                     items[p] = n
         self._halves = items
-        self._hash = hash(frozenset(items.items()))
+        self._hash = None
+
+    @classmethod
+    def _of(cls, items):
+        """Wrap an exponent map that has no zero entry, without copying."""
+        out = object.__new__(cls)
+        out._halves = items
+        out._hash = None
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -121,17 +151,25 @@ class WeightVector:
     def __add__(self, other):
         out = dict(self._halves)
         for p, n in other._halves.items():
-            out[p] = out.get(p, 0) + n
-        return WeightVector(out)
+            n += out.get(p, 0)
+            if n:
+                out[p] = n
+            else:
+                del out[p]
+        return WeightVector._of(out)
 
     def __sub__(self, other):
         out = dict(self._halves)
         for p, n in other._halves.items():
-            out[p] = out.get(p, 0) - n
-        return WeightVector(out)
+            n = out.get(p, 0) - n
+            if n:
+                out[p] = n
+            else:
+                del out[p]
+        return WeightVector._of(out)
 
     def __neg__(self):
-        return WeightVector({p: -n for p, n in self._halves.items()})
+        return WeightVector._of({p: -n for p, n in self._halves.items()})
 
     def halve(self):
         """Exact multiplication by 1/2; requires all entries even."""
@@ -151,7 +189,10 @@ class WeightVector:
         return self._halves == other._halves
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._halves.items()))
+        return h
 
     def __lt__(self, other):
         return _sign(self._halves, other._halves) < 0
@@ -164,6 +205,48 @@ class WeightVector:
 
     def __ge__(self, other):
         return other <= self
+
+    # -- shared instances and packed codes ------------------------------
+
+    def shared(self):
+        """The one instance of this value in the shared table, or this
+        value itself once the table holds SHARED_CAP values."""
+        hit = _SHARED.get(self)
+        if hit is not None:
+            return hit
+        if len(_SHARED) < SHARED_CAP:
+            _SHARED[self] = self
+        return self
+
+    def pack(self, primes):
+        """This value as one int: the half-exponent of primes[i] in the
+        signed field i.  Raises OverflowError for a field that does not
+        fit and ValueError for a prime not in `primes`."""
+        if not self._halves.keys() <= set(primes):
+            raise ValueError("%r has a prime outside %s" % (self, list(primes)))
+        code = 0
+        for i, p in enumerate(primes):
+            n = self._halves.get(p, 0)
+            if abs(n) >> _PACK_BITS:
+                raise OverflowError("exponent %d of %d does not fit a packed field" % (n, p))
+            code += n << (_FIELD_BITS * i)
+        return code
+
+    @staticmethod
+    def unpack(code, primes):
+        """The value of a packed int over `primes`: the inverse of pack(),
+        also for sums and differences of a few packed values."""
+        items = {}
+        for p in primes:
+            n = code & _FIELD_MASK
+            if n & _FIELD_SIGN:
+                n -= 1 << _FIELD_BITS
+            if n:
+                items[p] = n
+            code = (code - n) >> _FIELD_BITS
+        if code:
+            raise OverflowError("packed value has fields beyond %s" % (list(primes),))
+        return WeightVector._of(items)
 
     # -- numerics -------------------------------------------------------
 

@@ -253,7 +253,7 @@ def test_busemann_trichotomy_values(bG5):
         tuple(mid[i] + 0.02 * inr * (o2[i] - mid[i]) for i in range(3))
     )
     xi2 = _ray(chart0, into_c2, 0.0, tangent=_aim(into_c2, o2))
-    chart_b = mt.chart_through(G, C1, C3)
+    chart_b = mt.chart_for(G, coloring=rb.apartment_through(ball, ball.words[C1], ball.words[C3]))
     xi3 = _ray(chart_b, into_c2, 0.0, tangent=_aim(into_c2, o2))
     observed = {
         mt.busemann(G, xi1, C1, C2),

@@ -208,6 +208,22 @@ def test_horizon_shortfall_exits_3_with_report(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_growth_past_the_ball_radius_exits_3_with_report(capsys):
+    code = cli.main(
+        ["metrics", "growth", "--chamber", "3;2,3,8", "--radius", "3",
+         "--n", "4", "--q", "2,3,5"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    rep = json.loads(captured.out)
+    assert rep["command"] == "metrics growth"
+    assert rep["witnesses"] == [{
+        "error": "HorizonTooSmall",
+        "message": "ball radius too small: boundary chambers within distance 3.0",
+    }]
+    assert captured.err == ""
+
+
 def test_genpoly_construct_and_verify_roundtrip(capsys, tmp_path):
     code, rep = run(
         capsys, "genpoly", "construct", "--kind", "projective", "--params", "2"

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -115,6 +116,75 @@ def test_non_shortest_paths_have_weight_gap(spec238):
         assert w == d or (w - d - gap).is_nonnegative()
 
 
+def _minw_wall_sum(G, a, b):
+    """The wall sum of a chamber pair by the search over reduced words
+    (DualGraph._minw), whichever path G itself takes."""
+    return G._minw(G.ball.system.canon(G.ball.wdist(a, b)))
+
+
+def _check_letter_sum_on_every_pair(G):
+    """The letter sum equals the reduced-word search on the W-distance of
+    every chamber pair of the ball (each distinct W-distance once)."""
+    assert G.letter_sum
+    n = len(G)
+    words = {G.ball.wdist(a, b) for a in range(n) for b in range(a, n)}
+    for word in words:
+        assert G.min_word_weight(word) == G._minw(G.ball.system.canon(word))
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rng.randrange(n), rng.randrange(n)
+        assert G.wall_sum(a, b) == _minw_wall_sum(G, a, b)
+    return len(words)
+
+
+@pytest.mark.parametrize("q", [(2, 2, 2, 2, 2), (3, 2, 4, 2, 3)])
+def test_letter_sum_matches_minw_on_building_pairs(q):
+    G = mt.DualGraph(rb.ball(validate(5, (2,) * 5, q), 3))
+    assert _check_letter_sum_on_every_pair(G) > 100
+
+
+@pytest.mark.parametrize("m, q, radius", [
+    ((2, 4, 2, 6), (3, 2, 5, 7), 5),  # all m even: any q
+    ((3, 3, 4), (2, 2, 2), 6),  # odd m, q constant on the conjugacy class
+])
+def test_letter_sum_matches_minw_on_thin_pairs(m, q, radius):
+    G = mt.DualGraph(CoxeterBall(validate(len(m), m), radius), q=q)
+    assert _check_letter_sum_on_every_pair(G) > 50
+
+
+@pytest.mark.parametrize("m, q", [
+    ((2, 3, 8), (2, 3, 5)),
+    ((2, 2, 2, 3), (2, 3, 5, 7)),
+    ((3, 3, 4), (5, 3, 2)),
+    ((3, 3, 4), (2, 2, 3)),
+])
+def test_weights_varying_across_an_odd_vertex_take_minw(m, q):
+    G = mt.DualGraph(CoxeterBall(validate(len(m), m), 2), q=q)
+    assert not G.letter_sum
+
+
+def test_minw_path_matches_dijkstra(aG):
+    # 3;2,3,8 with q = (2, 3, 5): q differs across the m = 3 vertex
+    assert not aG.letter_sum
+    g = _nx_graph(aG)
+    inner = _inner(aG)
+    for a in inner:
+        lengths = nx.single_source_dijkstra_path_length(g, a)
+        for b in inner:
+            got = aG.wall_sum(a, b)
+            assert abs(got.value() - lengths[b]) < 1e-9
+            assert got == _minw_wall_sum(aG, a, b)
+
+
+def test_minw_path_finds_a_lighter_word_than_shortlex(spec238):
+    # q = (2, 5, 3): s2 s3 s2 = s3 s2 s3, whose ShortLex word 2,3,2 weighs
+    # 2 log 5 + log 3, while 3,2,3 weighs log 5 + 2 log 3
+    G = mt.DualGraph(CoxeterBall(spec238, 3), q=(2, 5, 3))
+    assert not G.letter_sum
+    c = G.ball.index[(2, 3, 2)]
+    assert G.wall_sum(0, c) == G.dist(0, c) == LOG(5) + LOG(3) + LOG(3)
+
+
 # ---------------------------------------------------------------------------
 # Gromov products on chambers
 # ---------------------------------------------------------------------------
@@ -141,11 +211,32 @@ def test_gromov_matches_independent_dijkstra(bG):
 # segments
 # ---------------------------------------------------------------------------
 
+def segment_chambers(chart, p, r):
+    """Ordered host chambers whose interiors the geodesic segment pr
+    meets, traced in the carrying apartment."""
+    realized = chart.realized
+    cp = gr.locate(realized, p)
+    cr = gr.locate(realized, r)
+    if cp is None or cr is None:
+        raise mt.NoApartment("segment endpoints not inside the carrying apartment")
+    length = gr.hyp_distance(p, r)
+    if length < 1e-12:
+        return [chart.to_host(cp)]
+    t = tuple(r[i] - gr.bform(r, p) * p[i] for i in range(3))
+    s = math.sqrt(-gr.bform(t, t))
+    tangent = tuple(x / s for x in t)
+    crossings = gr.trace(realized, p, 0.0, length, tangent=tangent)
+    seq = [chart.to_host(cp)] + [chart.to_host(c) for _l, c, _t in crossings]
+    if any(c is None for c in seq):
+        raise mt.NoApartment("segment leaves the host ball")
+    return seq
+
+
 def test_segment_same_chamber(aG):
     chart = mt.chart_for(aG)
     p = ORIGIN
     r = gr._normalize_point(gr.geodesic_point(p, (0.0, 1.0, 0.0), 0.01))
-    assert mt.segment_chambers(chart, p, r) == [0]
+    assert segment_chambers(chart, p, r) == [0]
 
 
 def test_segment_adjacent_chambers(aG):
@@ -156,7 +247,7 @@ def test_segment_adjacent_chambers(aG):
         gr.geodesic_point(ORIGIN, (0.0, math.cos(theta), math.sin(theta)),
                           1.7 * realized.polygon.inradius)
     )
-    seq = mt.segment_chambers(chart, ORIGIN, r)
+    seq = segment_chambers(chart, ORIGIN, r)
     assert len(seq) == 2 and seq[0] == 0
 
 
@@ -179,7 +270,7 @@ def test_segment_triple_additivity(which, aG, bG):
                               rng.uniform(0, 2) * inr)
         )
         try:
-            seq = mt.segment_chambers(chart, p, r)
+            seq = segment_chambers(chart, p, r)
         except (gr.NearVertex, mt.NoApartment):
             continue
         if len(seq) < 3:
@@ -317,9 +408,9 @@ def test_boundary_gromov_matches_ascending_scan_on_rays(which, aG, bG):
         except (gr.NearVertex, gr.LeftBall):
             continue
         h = min(len(Ci), len(Dj))
+        d = partial(_minw_wall_sum, G)
         vals = [
-            [(G.wall_sum(Ci[i], C) + G.wall_sum(Dj[j], C)
-              - G.wall_sum(Ci[i], Dj[j])).halve() for j in range(h)]
+            [(d(Ci[i], C) + d(Dj[j], C) - d(Ci[i], Dj[j])).halve() for j in range(h)]
             for i in range(h)
         ]
         want = _ascending_tail_scan(vals) if h >= 3 else None
@@ -439,7 +530,7 @@ def _edge_midpoint_rays(G):
         tuple(mid[i] + 0.02 * inr * (o2[i] - mid[i]) for i in range(3))
     )
     xi2 = _ray(chart0, into_c2, 0.0, tangent=_aim(into_c2, o2))
-    chart_b = mt.chart_through(G, C1, C3)
+    chart_b = mt.chart_for(G, coloring=rb.apartment_through(ball, ball.words[C1], ball.words[C3]))
     xi3 = _ray(chart_b, into_c2, 0.0, tangent=_aim(into_c2, o2))
     return (xi1, xi2, xi3), (C1, C2, C3)
 
@@ -576,14 +667,22 @@ def test_tau_estimate_reports_non_converged(bG):
     assert "not certified" in est.note
 
 
+def quasi_dist(G, xi, eta, C, tau_hat):
+    """Quasi-metric surrogate exp(-tau_hat * {xi|eta}_C) of the visual
+    metric."""
+    mt._require_distinct(xi, eta)
+    value = mt.boundary_gromov(G, xi, eta, C).value
+    return math.exp(-tau_hat * value.value())
+
+
 def test_quasi_dist_basics(bG):
     chart = mt.chart_for(bG)
     xi = _ray(chart, ORIGIN, 0.4)
     eta = _ray(chart, ORIGIN, 0.4 + math.pi)
     # zero Gromov product -> surrogate distance exactly 1
-    assert mt.quasi_dist(bG, xi, eta, 0, 0.8) == 1.0
+    assert quasi_dist(bG, xi, eta, 0, 0.8) == 1.0
     with pytest.raises(ValueError):
-        mt.quasi_dist(bG, xi, xi, 0, 0.8)
+        quasi_dist(bG, xi, xi, 0, 0.8)
 
 
 def test_quasi_dist_base_change_ratio(bG):
@@ -594,7 +693,7 @@ def test_quasi_dist_base_change_ratio(bG):
     eta = _ray(chart, ORIGIN, 1.0 + math.pi - 0.5)
     tau = 0.73
     C, D = 0, _inner(bG)[3]
-    ratio = mt.quasi_dist(bG, xi, eta, D, tau) / mt.quasi_dist(bG, xi, eta, C, tau)
+    ratio = quasi_dist(bG, xi, eta, D, tau) / quasi_dist(bG, xi, eta, C, tau)
     corr = (mt.busemann(bG, xi, C, D) + mt.busemann(bG, eta, C, D)).halve()
     assert abs(ratio - math.exp(-tau * corr.value())) < 1e-9
 

@@ -2,8 +2,10 @@ import decimal
 import math
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
+from hypbuild import weights
 from hypbuild.weights import WeightVector
 
 
@@ -128,3 +130,60 @@ def test_order_on_continued_fraction_near_ties():
     # the closest pair: 301994 log 2 - 190537 log 3 = 6.45e-8, on values
     # near 2.1e5
     assert two.scale(301994) > three.scale(190537)
+
+
+# -- packed codes, shared instances, lazy hashes --------------------------
+
+def test_pack_round_trip_on_signed_vectors():
+    rng = random.Random(21)
+    for _ in range(500):
+        primes = tuple(sorted(rng.sample(_PRIMES, rng.randint(1, len(_PRIMES)))))
+        vectors = []
+        for _ in range(3):
+            bound = rng.choice((3, 1000, 2**60))
+            vectors.append(WeightVector({p: rng.randint(-bound, bound) for p in primes if rng.random() < 0.8}))
+        a, b, c = vectors
+        codes = [v.pack(primes) for v in vectors]
+        for v, code in zip(vectors, codes):
+            assert WeightVector.unpack(code, primes) == v
+        # sums and differences of up to four packed values unpack exactly
+        assert WeightVector.unpack(codes[0] + codes[1] - codes[2], primes) == a + b - c
+        assert WeightVector.unpack(-codes[0] - codes[1] - codes[2] + codes[0], primes) == -b - c
+        assert (codes[0] + codes[1] == codes[2]) == (a + b == c)
+
+
+def test_pack_refuses_fields_that_do_not_fit():
+    primes = (2, 3, 5)
+    WeightVector({3: 2**61 - 1, 5: -(2**61 - 1)}).pack(primes)
+    for n in (2**61, -(2**61), 2**64 + 1, -(2**70)):
+        with pytest.raises(OverflowError):
+            WeightVector({3: n}).pack(primes)
+    with pytest.raises(ValueError):
+        WeightVector.log_int(7).pack(primes)
+    # a code with a field beyond the primes is not read as a smaller value
+    with pytest.raises(OverflowError):
+        WeightVector.unpack(1 << (64 * len(primes)), primes)
+
+
+def test_shared_returns_one_instance_up_to_its_cap(monkeypatch):
+    monkeypatch.setattr(weights, "_SHARED", {})
+    monkeypatch.setattr(weights, "SHARED_CAP", 5)
+    a = WeightVector.log_int(6)
+    b = WeightVector.log_int(2) + WeightVector.log_int(3)
+    assert a is not b and a.shared() is a and b.shared() is a
+    for n in range(7, 40):
+        WeightVector.log_int(n).shared()
+    assert len(weights._SHARED) == 5
+    late = WeightVector.log_int(97)
+    assert late.shared() is late and len(weights._SHARED) == 5
+    assert WeightVector.log_int(6).shared() is a
+
+
+def test_hash_is_computed_on_first_use():
+    a = WeightVector.log_int(12) - WeightVector.log_int(3)
+    assert a._hash is None
+    assert hash(a) == hash(WeightVector.log_int(4)) == hash(a)
+    assert {a: 1}[WeightVector.log_int(2).scale(2)] == 1
+    # sums that cancel drop their zero entries
+    assert (a - WeightVector.log_int(4))._halves == {}
+    assert (a + WeightVector.log_int(3) - WeightVector.log_int(3))._halves == a._halves
