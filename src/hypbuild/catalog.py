@@ -325,17 +325,6 @@ def entry_boundary_path(T, entry):
 # side-driven search
 # ---------------------------------------------------------------------------
 
-def _caps_for(spec, n_corners, caps=None):
-    caps = dict(caps or {})
-    a0 = area(spec).fraction
-    min_angle = Fraction(1, max(spec.m))
-    d_max = (n_corners - 2) - n_corners * min_angle  # in units of pi
-    n_default = int(d_max / a0) if d_max > 0 else 0
-    caps.setdefault("n_max", n_default)
-    caps.setdefault("step_cap", 30_000_000)
-    return caps
-
-
 def _flood_fill(T, seeds, boundary_pairs, cap):
     S = set(seeds)
     stack = list(seeds)
@@ -354,7 +343,7 @@ def _flood_fill(T, seeds, boundary_pairs, cap):
     return S
 
 
-def _side_search(spec, n_corners, caps=None):
+def _side_search(spec, n_corners, step_cap):
     """Enumerate all classes of circle triangles (n_corners=3) or
     quadrilaterals (n_corners=4): corners at vertex-orbit
     representatives, sides forced straight, turns on the interior side,
@@ -363,26 +352,24 @@ def _side_search(spec, n_corners, caps=None):
     Angles are integers in units of pi/L, L = lcm(m), so a turn by t at
     a vertex of gonality m is t * L/m units; with A0 = a0n/a0d (times
     pi) the cap n <= d/A0 is the integer quotient d * a0d // (L * a0n)."""
-    caps = _caps_for(spec, n_corners, caps)
-    n_max = caps["n_max"]
-    if n_max < 1:
-        return {}
-    T = tessellation(spec)
     a0 = area(spec).fraction
     L = lcm(*spec.m)
     full = (n_corners - 2) * L  # the angle sum (l - 2) * pi, in units
     min_angle = L // max(spec.m)
     num, den = a0.denominator, L * a0.numerator  # n = d * num / den
-    shape = "triangle" if n_corners == 3 else "quadrilateral"
-    results = {}
-    steps = [0]
-    step_cap = caps["step_cap"]
 
     def n_cap_for(angle_sum, corners_left):
         d = full - angle_sum - corners_left * min_angle
         if d <= 0:
             return -1
         return d * num // den
+
+    if n_cap_for(0, n_corners) < 1:
+        return {}
+    T = tessellation(spec)
+    shape = "triangle" if n_corners == 3 else "quadrilateral"
+    results = {}
+    steps = [0]
 
     def edge_cap(ncap):
         return (spec.k - 2) * ncap + 2
@@ -505,15 +492,15 @@ def _side_search(spec, n_corners, caps=None):
     return results
 
 
-def enumerate_triangles(spec, caps=None):
+def enumerate_triangles(spec, step_cap=30_000_000):
     """All label-preserving isomorphism classes of circle triangles in
     the 1-skeleton, complete within the exact area bound n <= d/A0."""
-    return set(_side_search(spec, 3, caps).values())
+    return set(_side_search(spec, 3, step_cap).values())
 
 
-def enumerate_quads(spec, caps=None):
+def enumerate_quads(spec, step_cap=30_000_000):
     """All classes of circle quadrilaterals, complete within bounds."""
-    return set(_side_search(spec, 4, caps).values())
+    return set(_side_search(spec, 4, step_cap).values())
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +634,13 @@ def _entry_order(entry):
     return json.dumps(entry.to_json(), sort_keys=True)
 
 
-def claims_check(spec, caps=None):
+def claims_check(spec):
     """Evaluate the structural catalog claims against the enumerated
     triangle and quadrilateral classes for this chamber.  Returns a
     report dict: claim id -> {pass, witnesses}."""
     # a fixed order, so witness lists do not follow the hash seed
-    triangles = sorted(enumerate_triangles(spec, caps), key=_entry_order)
-    quads = sorted(enumerate_quads(spec, caps), key=_entry_order)
+    triangles = sorted(enumerate_triangles(spec), key=_entry_order)
+    quads = sorted(enumerate_quads(spec), key=_entry_order)
     a0 = area(spec)
     is238 = spec.k == 3 and sorted(spec.m) == [2, 3, 8]
     report = {}

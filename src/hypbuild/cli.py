@@ -247,7 +247,7 @@ def _cmd_building(args, config):
 def _rays_from_thetas(G, thetas):
     chart = mt.chart_for(G)
     origin = (1.0, 0.0, 0.0)
-    return [mt._ray_from(chart, origin, th) for th in thetas]
+    return [mt.RaySpec(chart=chart, base=origin, theta=th) for th in thetas]
 
 
 def _cmd_metrics(args, config):
@@ -257,7 +257,7 @@ def _cmd_metrics(args, config):
         if idx is not None and not 0 <= idx < len(G):
             raise UsageError("--%s %d is not a chamber index in [0, %d)" % (name, idx, len(G)))
     if args.sub == "dist":
-        d = mt.dist(G, args.c, args.cp)
+        d = G.dist(args.c, args.cp)
         return _emit(
             "metrics dist", config,
             results=[{"dist": d, "value": d.value()}],

@@ -31,8 +31,10 @@ Two independent distance engines are provided:
   letter sum of the ShortLex word.  Otherwise the minimum is searched
   over reduced words (``_minw``).
 
-Each cached wall sum is also packed into one int (WeightVector.pack,
-one 64-bit field per prime of the weights).  A boundary Gromov table
+Each wall sum is cached once, packed into one int (WeightVector.pack,
+one 64-bit field per prime of the weights), and computed from the
+reduced W-distance word that the ball's ``wdist`` returns, so a miss on
+a building host makes no word-problem call.  A boundary Gromov table
 holds 2{C_i|D_j}_C = |C_i - C| + |D_j - C| - |C_i - D_j| as such ints,
 so stabilization compares ints, and only the stable value is unpacked
 and halved; Busemann sequences work the same way.
@@ -86,7 +88,9 @@ class NoApartment(ValueError):
 
 class DualGraph:
     """Weighted dual graph of a ball.  `q` overrides the spec thickness
-    for the edge weights (formal weights on a thin apartment)."""
+    for the edge weights (formal weights on a thin apartment).  Wall sums
+    live in one cache of packed ints (wall_code), filled by
+    min_word_weight from the ball's reduced W-distance word."""
 
     def __init__(self, ball, q=None):
         self.ball = ball
@@ -107,7 +111,7 @@ class DualGraph:
             ball.spec.m[j] % 2 == 0 or self.q[j] == self.q[(j + 1) % k] for j in range(k)
         )
         self._minw_cache = {(): WeightVector.zero()}
-        # (C, Cp) with C <= Cp -> (wall sum, its packed code)
+        # (C, Cp) with C <= Cp -> its wall sum, packed (wall_code)
         self._pair_cache = {}
 
     def __len__(self):
@@ -151,29 +155,24 @@ class DualGraph:
         """Distance as the separating-wall decomposition: each reduced
         word of the W-distance crosses every separating wall exactly once
         at one specific edge; take the lightest choice of reduced word."""
-        key = (C, Cp) if C <= Cp else (Cp, C)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            value = self.min_word_weight(self.ball.wdist(key[0], key[1])).shared()
-            cached = self._pair_cache[key] = (value, value.pack(self.primes))
-        return cached[0]
+        return WeightVector.unpack(self.wall_code(C, Cp), self.primes).shared()
 
     def wall_code(self, C, Cp):
         """wall_sum(C, Cp) packed over self.primes, for exact sums and
-        differences in ints."""
+        differences in ints; the one cache of wall sums."""
         key = (C, Cp) if C <= Cp else (Cp, C)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            self.wall_sum(C, Cp)
-            cached = self._pair_cache[key]
-        return cached[1]
+        code = self._pair_cache.get(key)
+        if code is None:
+            word = self.ball.wdist(key[0], key[1])
+            code = self._pair_cache[key] = self.min_word_weight(word).pack(self.primes)
+        return code
 
     def min_word_weight(self, word):
-        """The least weight of a reduced word of the element `word`: the
-        letter sum of its ShortLex word when the weights are constant on
+        """The least weight of a reduced word for the element of `word`,
+        which must itself be reduced and ShortLex, as both balls' `wdist`
+        returns: its letter sum when the weights are constant on
         conjugacy classes of generators, else the least sum over its
         reduced words."""
-        word = self.ball.system.canon(tuple(word))
         if not self.letter_sum:
             return self._minw(word)
         codes = self._label_codes
@@ -192,10 +191,6 @@ class DualGraph:
                     best = cand
         self._minw_cache[word] = best
         return best
-
-
-def dist(G, C, Cp):
-    return G.dist(C, Cp)
 
 
 def gromov(G, x, y, C):
@@ -461,10 +456,6 @@ def tau_estimate(G, nmax, base=0):
 # detection experiments
 # ---------------------------------------------------------------------------
 
-def _ray_from(chart, base, theta):
-    return RaySpec(chart=chart, base=base, theta=theta)
-
-
 def _wall_frame(realized, label):
     """Points and directions for the wall geodesic through edge `label`
     of the base chamber: a base point on the wall and the unit tangent
@@ -623,7 +614,7 @@ def _skeleton_quadruples(G, label, samples, rng):
                 branch = _panel_charts(G, chart0, cc, label)
                 if len(branch) > 1:
                     chart = branch[-1][0]
-            rays.append(_ray_from(chart, base, tilt_theta))
+            rays.append(RaySpec(chart=chart, base=base, theta=tilt_theta))
         quads.append(
             (
                 rays[0],
@@ -652,9 +643,7 @@ def _generic_quadruples(G, theta, samples, rng):
             base = gr._normalize_point(
                 gr.geodesic_point(o, (0.0, math.cos(theta + 1.3), math.sin(theta + 1.3)), jitter[r_idx])
             )
-            rays.append(
-                _ray_from(chart, base, direction + sign * dthetas[r_idx])
-            )
+            rays.append(RaySpec(chart=chart, base=base, theta=direction + sign * dthetas[r_idx]))
         quads.append((rays[0], rays[1], rays[2], rays[3], {"theta": theta}))
     return quads
 
@@ -688,11 +677,11 @@ def _side_probes(G, chart0, label, off, back, tilt, mid, along, normal):
     probes = []
     for sgn in (1, -1):
         base = _offset_point(mid, along, back, normal, sgn * off * 0.9)
-        probes.append(_ray_from(chart0, base, theta_pos + sgn * tilt))
+        probes.append(RaySpec(chart=chart0, base=base, theta=theta_pos + sgn * tilt))
     if isinstance(G.ball, rb.BuildingBall):
         cc = gr.locate(realized, probes[0].base)
         for chart_b, _color in _panel_charts(G, chart0, cc, label)[1:]:
-            probes.append(_ray_from(chart_b, probes[0].base, probes[0].theta))
+            probes.append(RaySpec(chart=chart_b, base=probes[0].base, theta=probes[0].theta))
     return probes
 
 
@@ -789,7 +778,7 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
         xi = []
         for sgn, extra in ((1, 0.0), (s2, 0.12)):
             base = _offset_point(mid, neg, back, normal, sgn * off)
-            xi.append(_ray_from(chart0, base, theta_neg + sgn * (tilt + extra)))
+            xi.append(RaySpec(chart=chart0, base=base, theta=theta_neg + sgn * (tilt + extra)))
         if kind == "branch":
             # move the second ray into a different chamber of the same
             # panel: same geometry, carried by a branch chamber
@@ -798,7 +787,7 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
             if len(branch) <= 1:
                 records.append({"error": "NoBranchChart"})
                 continue
-            xi[1] = _ray_from(branch[-1][0], xi[1].base, xi[1].theta)
+            xi[1] = RaySpec(chart=branch[-1][0], base=xi[1].base, theta=xi[1].theta)
         try:
             probes = _side_probes(
                 G, chart0, label, off, back, tilt, mid, along, normal

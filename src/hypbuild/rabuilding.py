@@ -112,11 +112,16 @@ def inverse_word(word, spec):
 def wdist(g, h, spec):
     """W-valued distance: the ShortLex reduced Coxeter word of g^{-1} h.
 
-    Projects the normal form of g^{-1} h letterwise by (i, c) -> s_i;
-    the labels of a normal form are already the ShortLex word of W, and
-    its length is the gallery distance between the chambers.
+    Appends h's letters one at a time to the normal form of g^{-1} and
+    projects the result letterwise by (i, c) -> s_i; the labels of a
+    normal form are already the ShortLex word of W, and its length is the
+    gallery distance between the chambers.
     """
-    delta = normal_form(inverse_word(g, spec) + tuple(h), spec)
+    delta = inverse_word(g, spec)
+    for letter in h:
+        if not 1 <= letter[0] <= spec.k:
+            raise BuildingError("FormatError", "letter label %r out of range" % (letter[0],))
+        delta = append_letter(delta, letter, spec)
     return tuple(i for (i, _c) in delta)
 
 
@@ -229,12 +234,14 @@ class ApartmentColoring:
 
     def alpha(self, w):
         """Chamber of the building at apartment position w (a Coxeter
-        word; any representative works)."""
-        system = self.system
+        word; any representative works).  The wall crossed by letter j is
+        looked up only when some wall is colored."""
+        system, colors = self.system, self.colors
         word = system.canon(tuple(w))
         out = tuple(self.base)
-        for i, refl in zip(word, system.inversions(word)):
-            out = append_letter(out, (i, self.colors.get(refl, 1)), system.spec)
+        for j, i in enumerate(word):
+            color = colors.get(system.conjugate(word[:j], (i,)), 1) if colors else 1
+            out = append_letter(out, (i, color), system.spec)
         return out
 
     def position_of(self, chamber):
@@ -242,10 +249,6 @@ class ApartmentColoring:
         chamber does not lie on this apartment."""
         w = wdist(self.base, chamber, self.system.spec)
         return w if self.alpha(w) == tuple(chamber) else None
-
-    def to_pairs(self):
-        """Serializable form: sorted (wall-word, color) pairs."""
-        return sorted((list(k), v) for k, v in self.colors.items())
 
 
 def apartment_through(ball, C, C_prime):

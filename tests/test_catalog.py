@@ -166,7 +166,7 @@ def test_area_law_exact(k, m):
 
 def test_step_cap_enforced(spec238):
     with pytest.raises(ResourceCap):
-        cat.enumerate_quads(spec238, caps={"step_cap": 10})
+        cat.enumerate_quads(spec238, step_cap=10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import hashlib
+import json
 import math
 import random
 from functools import partial
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from hypbuild import geomrender as gr, metrics as mt, rabuilding as rb
-from hypbuild.chamber import validate
-from hypbuild.coxeter import CoxeterBall
+from hypbuild.chamber import parse_chamber_string, validate
+from hypbuild.coxeter import CoxeterBall, CoxeterSystem
 from hypbuild.weights import WeightVector
 
 LOG = WeightVector.log_int
@@ -183,6 +186,26 @@ def test_minw_path_finds_a_lighter_word_than_shortlex(spec238):
     assert not G.letter_sum
     c = G.ball.index[(2, 3, 2)]
     assert G.wall_sum(0, c) == G.dist(0, c) == LOG(5) + LOG(3) + LOG(3)
+
+
+@pytest.mark.parametrize("q, radius", [((2, 2, 2, 2, 2), 3), ((3, 2, 4, 2, 3), 2)])
+def test_building_wall_sums_make_no_canon_call(monkeypatch, q, radius):
+    # a building's W-distance is the labels of a normal form, already
+    # ShortLex, so a wall-sum miss needs no word-problem call
+    ball = rb.ball(validate(5, (2,) * 5, q), radius)
+    oracle = mt.DualGraph(ball)
+    n = len(ball)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    want = [_minw_wall_sum(oracle, a, b) for a, b in pairs]
+
+    def refuse(self, word):
+        raise AssertionError("canon called on %s" % (word,))
+
+    monkeypatch.setattr(CoxeterSystem, "canon", refuse)
+    G = mt.DualGraph(ball)
+    assert [G.wall_sum(a, b) for a, b in pairs] == want
+    assert len(G._pair_cache) == len(pairs)
+    assert all(type(code) is int for code in G._pair_cache.values())
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +640,36 @@ def test_traced_rays_never_revisit_a_chamber(k, m, radius):
         assert len(set(chambers)) == len(chambers)
         traced += 1
     assert traced >= 990
+
+
+# sha256 of the cross ratios, Busemann values and host sequences of the
+# benchmark's 240 stored boundary quadruples (perfbench/inputs)
+STORED_BOUNDARY_SHA256 = "207403bd7be78ede604fca3da13bed74a5462c14161e1cc2ff215119516fca41"
+
+
+def test_stored_boundary_quadruples_are_pinned():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "boundary.json"
+    data = json.loads(path.read_text())
+    ball = rb.ball(parse_chamber_string(data["spec"]), data["radius"])
+    G = mt.DualGraph(ball)
+    chart = mt.chart_for(G, data["chart_radius"])
+
+    def index(word):
+        return ball.index[tuple(tuple(letter) for letter in word)]
+
+    out = []
+    for quad in data["quadruples"]:
+        rays = [mt.RaySpec(chart=chart, base=tuple(r[:3]), theta=r[3]) for r in quad["rays"]]
+        bases = [0] + [index(w) for w in quad["bases"]]
+        C, D, E = (index(w) for w in quad["busemann"])
+        out.append({
+            "cross": [mt.cross_ratio(G, *rays, c).to_json() for c in bases],
+            "busemann": [mt.busemann(G, rays[0], a, b).to_json() for a, b in ((C, D), (D, E), (C, E))],
+            "hosts": [ray.chamber_sequence() for ray in rays],
+        })
+    assert len(out) == 240
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == STORED_BOUNDARY_SHA256
 
 
 def test_cross_ratio_all_through_interior_is_zero(bG):

@@ -4,7 +4,7 @@ import pytest
 
 from hypbuild import genpoly, rabuilding as rb
 from hypbuild.chamber import validate
-from hypbuild.coxeter import CoxeterBall, export_complex
+from hypbuild.coxeter import CoxeterBall, CoxeterSystem, export_complex
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +273,20 @@ def test_wdist_is_dual_graph_distance(bb3):
             assert len(w) == dist[b]
 
 
+@pytest.mark.parametrize("q, radius", [((2, 2, 2, 2, 2), 3), ((3, 2, 4, 2, 3), 2)])
+def test_wdist_matches_normal_form_of_the_product(q, radius):
+    # oracle: the normal form of the whole word g^-1 h
+    spec = validate(5, (2,) * 5, q)
+    words = rb.ball(spec, radius).words
+    for g in words:
+        inv = rb.inverse_word(g, spec)
+        for h in words:
+            want = tuple(i for (i, _c) in rb.normal_form(inv + h, spec))
+            assert rb.wdist(g, h, spec) == want
+    with pytest.raises(rb.BuildingError):
+        rb.wdist((), ((9, 1),), spec)
+
+
 # ---------------------------------------------------------------------------
 # apartments
 # ---------------------------------------------------------------------------
@@ -319,10 +333,28 @@ def test_apartment_is_distance_preserving(bb3):
         assert lhs == sysc.canon(tuple(reversed(w1)) + w2)
 
 
+def test_uncolored_alpha_looks_up_no_wall(monkeypatch, pentagon_thick):
+    # every wall of the default chart coloring has color 1, so alpha is
+    # one append_letter per letter and names no wall
+    system = CoxeterSystem(pentagon_thick)
+    A = rb.ApartmentColoring(system=system, base=(), colors={})
+    words = CoxeterBall(validate(5, (2,) * 5), 7).words
+    want = []
+    for w in words:
+        out = ()
+        for i, refl in zip(w, system.inversions(w)):
+            out = rb.append_letter(out, (i, A.colors.get(refl, 1)), pentagon_thick)
+        want.append(out)
+
+    def refuse(self, w, t):
+        raise AssertionError("wall looked up")
+
+    monkeypatch.setattr(CoxeterSystem, "conjugate", refuse)
+    assert [A.alpha(w) for w in words] == want
+
+
 def test_apartment_serialization(bb3):
     A = rb.apartment_through(bb3, (), ((1, 2), (3, 1)))
-    pairs = A.to_pairs()
-    assert pairs == sorted(pairs)
     assert ([1], 2) in [(list(k), v) for k, v in A.colors.items()]
 
 
