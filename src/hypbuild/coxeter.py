@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .weights import WeightVector
+from .weights import SHARED_CAP, WeightVector
 
 
 class BallTooSmall(ValueError):
@@ -69,6 +69,8 @@ _CARTAN_PAIRS = {
 }
 # non-adjacent edges: A_ij * A_ji = 4, so s_i s_j has infinite order
 _FREE = (-2, 0)
+# canon returns the one instance of each word held here (at most SHARED_CAP)
+_WORDS = {}
 
 
 def _negative(a, b):
@@ -137,6 +139,9 @@ class CoxeterSystem:
                         xb[r] -= cb * ha
             xa[s], xb[s] = -ca, -cb
         result = tuple(self._strip(xa, xb)[0])
+        result = _WORDS.get(result, result)
+        if len(_WORDS) < SHARED_CAP:
+            _WORDS[result] = result
         self._canon_cache[word] = result
         return result
 
@@ -322,10 +327,8 @@ class Tessellation:
             # reversed, the edge between chambers t-1 and t is the edge
             # that ended at position 1-t
             labels = [labels[(1 - t) % (2 * m)] for t in range(2 * m)]
-        edges = []
-        for t in range(2 * m):
-            x, y = rot[t - 1], rot[t]
-            edges.append((min(x, y), max(x, y), labels[t]))
+        pairs = [(rot[t - 1], rot[t]) for t in range(2 * m)]
+        edges = [(min(x, y), max(x, y), labels[t]) for t, (x, y) in enumerate(pairs)]
         rec = {
             "key": (rot[0], j),
             "j": j,
@@ -638,11 +641,7 @@ def wall_type(ball, wall):
     comps = boundary_components(ball.spec)
     full_cycle = all(mi == 3 for mi in ball.spec.m)
     ordered, labels = ball.wall_edge_path(wall)
-    comp = None
-    for c in comps:
-        if wall.anchor_label in c:
-            comp = c
-            break
+    comp = next((c for c in comps if wall.anchor_label in c), None)
     period = wall_period(comp, ball.spec.k, full_cycle)
     if len(labels) < len(period):
         raise BallTooSmall(
@@ -651,8 +650,7 @@ def wall_type(ball, wall):
     # the observed labels must match the period under some rotation and
     # orientation
     pl = len(period)
-    seqs = [tuple(labels), tuple(reversed(labels))]
-    for seq in seqs:
+    for seq in (tuple(labels), tuple(reversed(labels))):
         for shift in range(pl):
             if all(seq[t] == period[(t + shift) % pl] for t in range(len(seq))):
                 return comp

@@ -3,9 +3,9 @@
 The dual graph has one vertex per chamber; chambers sharing an edge
 labeled i are joined by an edge of length log q_i.  All metric values
 are exact WeightVectors (integer or half-integer combinations of logs of
-primes), compared exactly; floats only appear in the Dijkstra heap key
-(a hint: the exact comparison decides every relaxation), in the growth
-radius threshold and in reported `value`s.  Rays are traced in floats,
+primes), compared exactly; floats only appear in the Dijkstra heap keys
+and gap test (below), in the growth radius threshold and in reported
+`value`s.  Rays are traced in floats,
 but a chamber is always named by its exact word, and which side of a
 wall it lies on is one word-problem query (CoxeterSystem.separates).
 
@@ -19,7 +19,18 @@ Two independent distance engines are provided:
 
 * ``dist``: textbook Dijkstra on the truncated dual graph; exact for
   chamber pairs of the inner ball (a minimal-weight gallery between
-  chambers of word length <= N/2 stays inside the radius-N ball).
+  chambers of word length <= N/2 stays inside the radius-N ball).  It
+  runs on packed ints (WeightVector.pack): a distance is the sum of the
+  label codes along a gallery, so equal codes are equal distances.  A
+  float key, the running sum of log q_i, orders the heap, and a float
+  gap above _MARGIN = 1e-6 of the larger key decides a relaxation; a
+  closer one goes to the exact comparison.  A key sums n <= N - 1 terms
+  along a simple gallery of a ball of N chambers, so its relative error
+  is below (n + 2) 2^-53, under 3e-10 for any ball under chamber_cap
+  (2 * 10^6), far inside the margin.  A chamber whose distance falls
+  after its expansion is expanded again, and a search for one target
+  stops only when the least key is past the target's by the margin, so
+  the heap order never decides a distance.
 * ``wall_sum``: the separating-wall decomposition — the minimum, over
   reduced words of the W-distance, of the sum of the crossed walls'
   edge weights.  This is intrinsic (needs no ball) and backs all the
@@ -86,10 +97,16 @@ class NoApartment(ValueError):
     pass
 
 
+# Dijkstra: a float gap above this share of the larger key decides an order
+_MARGIN = 1e-6
+
+
 class DualGraph:
     """Weighted dual graph of a ball.  `q` overrides the spec thickness
-    for the edge weights (formal weights on a thin apartment).  Wall sums
-    live in one cache of packed ints (wall_code), filled by
+    for the edge weights (formal weights on a thin apartment).  Both
+    engines run on ints packed over self.primes: Dijkstra sums label
+    codes, with float keys only to order its heap and to decide wide
+    gaps, and wall sums live in one cache (wall_code), filled by
     min_word_weight from the ball's reduced W-distance word."""
 
     def __init__(self, ball, q=None):
@@ -103,6 +120,7 @@ class DualGraph:
         # the primes of the packed wall sums (WeightVector.pack)
         self.primes = tuple(sorted({p for w in self.weights for p in w.exponents()}))
         self._label_codes = [w.pack(self.primes) for w in self.weights]
+        self._label_logs = [math.log(qi) for qi in self.q]
         # braid moves at a vertex of odd m trade one letter for the other,
         # so the letter sum is the same on every reduced word exactly
         # when q agrees across each such vertex (vertex j joins edges j
@@ -123,30 +141,46 @@ class DualGraph:
     # -- engine 1: Dijkstra on the truncated graph ----------------------
 
     def dist(self, C, Cp):
-        table = self.dist_from(C, target=Cp)
-        if Cp not in table:
+        code = self._dist_codes(C, Cp).get(Cp)
+        if code is None:
             raise Disconnected("no path between chambers %d and %d" % (C, Cp))
-        return table[Cp].shared()
+        return WeightVector.unpack(code, self.primes).shared()
 
-    def dist_from(self, C, target=None):
-        """Single-source Dijkstra; exact WeightVector distances with
-        deterministic (numeric value, chamber id) tie-breaking."""
-        best = {C: WeightVector.zero()}
-        done = set()
-        heap = [(0.0, C)]
+    def dist_from(self, C):
+        """Single-source Dijkstra: every reachable chamber's exact distance."""
+        primes = self.primes
+        return {c: WeightVector.unpack(code, primes) for c, code in self._dist_codes(C).items()}
+
+    def _dist_codes(self, C, target=None):
+        """Exact packed distances from C (see the module docstring); with
+        a target, only the target's is sure to be final."""
+        codes, logs, primes = self._label_codes, self._label_logs, self.primes
+        best, key = {C: 0}, {C: 0.0}
+        heap = [(0.0, C, 0)]
+        stop = math.inf  # past this key no chamber can beat the target's distance
         while heap:
-            fval, c = heapq.heappop(heap)
-            if c in done:
+            f, c, code = heapq.heappop(heap)
+            if f > stop:
+                break
+            if best[c] != code:
                 continue
-            done.add(c)
-            if target is not None and c == target:
-                return best
-            dc = best[c]
+            if c == target:
+                stop = f * (1 + _MARGIN)
+                continue
             for d, label in self.ball.neighbors(c):
-                nd = dc + self.weight(label)
-                if d not in best or nd < best[d]:
-                    best[d] = nd
-                    heapq.heappush(heap, (nd.value(), d))
+                nd = code + codes[label - 1]
+                nf = f + logs[label - 1]
+                old = best.get(d)
+                if old is not None:
+                    of = key[d]
+                    if nd == old or nf - of > _MARGIN * nf:
+                        continue
+                    if of - nf <= _MARGIN * of and not (
+                        WeightVector.unpack(nd, primes) < WeightVector.unpack(old, primes)
+                    ):
+                        continue
+                best[d], key[d] = nd, nf
+                heapq.heappush(heap, (nf, d, nd))
         return best
 
     # -- engine 2: separating-wall weight sum ---------------------------
@@ -164,19 +198,19 @@ class DualGraph:
         code = self._pair_cache.get(key)
         if code is None:
             word = self.ball.wdist(key[0], key[1])
-            code = self._pair_cache[key] = self.min_word_weight(word).pack(self.primes)
+            code = self._pair_cache[key] = self.min_word_weight(word)
         return code
 
     def min_word_weight(self, word):
         """The least weight of a reduced word for the element of `word`,
-        which must itself be reduced and ShortLex, as both balls' `wdist`
-        returns: its letter sum when the weights are constant on
-        conjugacy classes of generators, else the least sum over its
-        reduced words."""
+        packed over self.primes; `word` must itself be reduced and
+        ShortLex, as both balls' `wdist` returns.  It is the letter sum
+        when the weights are constant on conjugacy classes of generators,
+        else the least sum over its reduced words."""
         if not self.letter_sum:
-            return self._minw(word)
+            return self._minw(word).pack(self.primes)
         codes = self._label_codes
-        return WeightVector.unpack(sum(codes[i - 1] for i in word), self.primes)
+        return sum(codes[i - 1] for i in word)
 
     def _minw(self, word):
         cached = self._minw_cache.get(word)
@@ -413,22 +447,10 @@ def growth(G, n, base=0):
     """a(n): number of chambers within weighted distance n of the base
     chamber.  Raises HorizonTooSmall unless every boundary chamber of the
     ball is already farther than n (so the count is certified)."""
-    table = G.dist_from(base)
-    count = 0
-    certified = True
-    for c in range(len(G)):
-        if c not in table:
-            continue
-        within = table[c].value() <= n + 1e-9
-        if within:
-            count += 1
-            if not G.ball.is_inner[c]:
-                certified = False
-    if not certified:
-        raise HorizonTooSmall(
-            "ball radius too small: boundary chambers within distance %s" % n
-        )
-    return count
+    within = [c for c, d in G.dist_from(base).items() if d.value() <= n + 1e-9]
+    if not all(G.ball.is_inner[c] for c in within):
+        raise HorizonTooSmall("ball radius too small: boundary chambers within distance %s" % n)
+    return len(within)
 
 
 @dataclass(frozen=True)
@@ -502,18 +524,14 @@ def detect_skeleton_experiment(G, line, samples=24, seed=0):
     errors = []
     if line[0] == "wall":
         label = line[1]
-        target = G.weight(label)
         half = WeightVector.half_log_int(G.q[label - 1])
         configs = _skeleton_quadruples(G, label, samples, rng)
     else:
-        target = None
-        half = None
         configs = _generic_quadruples(G, line[1], samples, rng)
-    base_chambers = [0]
     for idx, quad in enumerate(configs):
         xi1, xi2, eta1, eta2, meta = quad
         try:
-            val = cross_ratio(G, xi1, xi2, eta1, eta2, base_chambers[0])
+            val = cross_ratio(G, xi1, xi2, eta1, eta2, 0)
         except (NoStabilization, NearVertex, LeftBall) as exc:
             errors.append({"sample": idx, "error": type(exc).__name__})
             continue
@@ -555,12 +573,8 @@ def _panel_charts(G, chart, chart_chamber, label):
         coloring = rb.apartment_through(ball, ball.words[base_host], word)
         # re-base the coloring so the chart origin still maps to the
         # chart's base chamber
-        out.append(
-            (
-                ApartmentChart(G, chart.realized, _rebase(G, chart, coloring, chart_chamber)),
-                color,
-            )
-        )
+        rebased = _rebase(G, chart, coloring, chart_chamber)
+        out.append((ApartmentChart(G, chart.realized, rebased), color))
     return out
 
 
@@ -615,15 +629,7 @@ def _skeleton_quadruples(G, label, samples, rng):
                 if len(branch) > 1:
                     chart = branch[-1][0]
             rays.append(RaySpec(chart=chart, base=base, theta=tilt_theta))
-        quads.append(
-            (
-                rays[0],
-                rays[1],
-                rays[2],
-                rays[3],
-                {"sides": sides, "branch": use_branch},
-            )
-        )
+        quads.append((*rays, {"sides": sides, "branch": use_branch}))
     return quads
 
 
@@ -692,14 +698,10 @@ def _side_record(G, refl, xi1, xi2, probes, strict=False):
     carrier2, _ = _carrying_chamber(xi2)
     if not (_stays_off_wall(xi1, refl) and _stays_off_wall(xi2, refl)):
         if strict:
-            raise HypothesisFail(
-                "a ray meets the wall within the traced horizon"
-            )
+            raise HypothesisFail("a ray meets the wall within the traced horizon")
         return {"error": "HypothesisFail"}
     eta_ref = probes[0]
-    values = []
-    for eta in probes[1:]:
-        values.append(cross_ratio(G, xi1, xi2, eta, eta_ref, 0))
+    values = [cross_ratio(G, xi1, xi2, eta, eta_ref, 0) for eta in probes[1:]]
     distinct = []
     for v in values:
         if v not in distinct:
@@ -789,9 +791,7 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
                 continue
             xi[1] = RaySpec(chart=branch[-1][0], base=xi[1].base, theta=xi[1].theta)
         try:
-            probes = _side_probes(
-                G, chart0, label, off, back, tilt, mid, along, normal
-            )
+            probes = _side_probes(G, chart0, label, off, back, tilt, mid, along, normal)
             record = _side_record(G, refl, xi[0], xi[1], probes)
         except (NoStabilization, NearVertex, LeftBall, NoApartment) as exc:
             records.append({"error": type(exc).__name__})

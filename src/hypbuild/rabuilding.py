@@ -109,20 +109,25 @@ def inverse_word(word, spec):
     return normal_form(inv, spec)
 
 
-def wdist(g, h, spec):
-    """W-valued distance: the ShortLex reduced Coxeter word of g^{-1} h.
-
-    Appends h's letters one at a time to the normal form of g^{-1} and
-    projects the result letterwise by (i, c) -> s_i; the labels of a
-    normal form are already the ShortLex word of W, and its length is the
-    gallery distance between the chambers.
-    """
+def _inverse_times(g, h, spec):
+    """Normal form of g^{-1} h: h's letters appended one at a time to the
+    normal form of g^{-1}."""
     delta = inverse_word(g, spec)
     for letter in h:
         if not 1 <= letter[0] <= spec.k:
             raise BuildingError("FormatError", "letter label %r out of range" % (letter[0],))
         delta = append_letter(delta, letter, spec)
-    return tuple(i for (i, _c) in delta)
+    return delta
+
+
+def wdist(g, h, spec):
+    """W-valued distance: the ShortLex reduced Coxeter word of g^{-1} h.
+
+    Projects the normal form of g^{-1} h letterwise by (i, c) -> s_i; the
+    labels of a normal form are already the ShortLex word of W, and its
+    length is the gallery distance between the chambers.
+    """
+    return tuple(i for (i, _c) in _inverse_times(g, h, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +260,7 @@ def apartment_through(ball, C, C_prime):
     """A deterministic apartment containing both chambers: colors are read
     off the unique normal-form gallery from C to C', default 1 elsewhere."""
     spec, system = ball.spec, ball.system
-    delta = normal_form(inverse_word(C, spec) + tuple(C_prime), spec)
+    delta = _inverse_times(C, C_prime, spec)
     # the labels of a normal form are already the ShortLex word of W
     labels = tuple(i for (i, _c) in delta)
     colors = {refl: c for refl, (_i, c) in zip(system.inversions(labels), delta)}

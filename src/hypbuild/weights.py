@@ -8,7 +8,10 @@ of distinct primes), so equality can be decided exactly from the
 exponent vector alone.  Order is exact too: sum n_p log p has the sign
 of log(prod_{n_p>0} p^n_p / prod_{n_p<0} p^-n_p), so two integer
 products decide it.  Floats only appear in value(), which reports and
-heuristics read and no comparison does.
+heuristics read and no comparison here does.  Outside this module, one
+float decides an order: metrics.DualGraph's Dijkstra compares float
+sums of log q_i when their gap is far wider than their proven rounding
+error, and sends every closer pair to the exact comparison.
 
 A WeightVector computes its hash on first use: most values are
 intermediate sums that are compared, never hashed.  shared() returns

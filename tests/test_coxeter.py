@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypbuild import rabuilding as rb
+from hypbuild import coxeter, rabuilding as rb
 from hypbuild.chamber import ALLOWED_M, ChamberError, parse_chamber_string, validate
 from hypbuild.coxeter import (
     BallTooSmall,
@@ -104,6 +104,21 @@ def test_canon_idempotent_and_inverse(spec238):
         red = sysc.canon(word)
         assert sysc.canon(red) == red
         assert sysc.canon(word + tuple(reversed(word))) == ()
+
+
+def test_canon_returns_one_shared_word_up_to_its_cap(monkeypatch, spec238):
+    monkeypatch.setattr(coxeter, "_WORDS", {})
+    monkeypatch.setattr(coxeter, "SHARED_CAP", 5)
+    a, b = CoxeterSystem(spec238), CoxeterSystem(spec238)
+    words = [(1, 2), (2, 1, 2, 1, 2, 3), (1,), (1, 3, 1), (2, 3, 1, 2)]
+    first = [a.canon(w) for w in words]
+    assert all(b.canon(w) is out for w, out in zip(words, first))
+    # the same element reached from another word is the same instance
+    assert b.canon((2, 1)) is first[0] and len(coxeter._WORDS) == 5
+    late = [a.canon((1, 2, 3) * n) for n in range(1, 9)]
+    assert len(coxeter._WORDS) == 5
+    assert [b.canon((1, 2, 3) * n) for n in range(1, 9)] == late
+    assert b.canon((1, 2, 3)) is not late[0]
 
 
 # ---------------------------------------------------------------------------

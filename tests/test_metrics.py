@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -119,6 +120,95 @@ def test_non_shortest_paths_have_weight_gap(spec238):
         assert w == d or (w - d - gap).is_nonnegative()
 
 
+def _reference_dist_from(G, C):
+    """Dijkstra on WeightVector sums, keyed on value() floats: the
+    engine that DualGraph.dist_from replaced, kept as an oracle."""
+    best = {C: WeightVector.zero()}
+    done = set()
+    heap = [(0.0, C)]
+    while heap:
+        _f, c = heapq.heappop(heap)
+        if c in done:
+            continue
+        done.add(c)
+        for d, label in G.ball.neighbors(c):
+            nd = best[c] + G.weight(label)
+            if d not in best or nd < best[d]:
+                best[d] = nd
+                heapq.heappush(heap, (nd.value(), d))
+    return best
+
+
+def _seeded_q(k, seed):
+    """Seeded weights: q_i = 1 (weight 0) on one edge, distinct values
+    on the others."""
+    rng = random.Random(seed)
+    q = rng.sample((2, 3, 4, 5, 7, 9), k - 1)
+    q.insert(rng.randrange(k), 1)
+    return tuple(q)
+
+
+def _dijkstra_hosts():
+    hosts = []
+    for m, radius in [((2, 3, 8), 10), ((2, 2, 2, 3), 7), ((3, 3, 4), 9)]:
+        ball = CoxeterBall(validate(len(m), m), radius)
+        hosts += [mt.DualGraph(ball, q=_seeded_q(len(m), seed)) for seed in (1, 2)]
+    hosts.append(mt.DualGraph(rb.ball(validate(5, (2,) * 5, (3, 2, 4, 2, 3)), 3)))
+    return hosts
+
+
+def _sources(G):
+    return [0] + random.Random(len(G)).sample(range(1, len(G)), 3)
+
+
+def test_packed_dijkstra_matches_weightvector_oracle():
+    for G in _dijkstra_hosts():
+        g = _nx_graph(G)
+        for C in _sources(G):
+            table = G.dist_from(C)
+            assert table == _reference_dist_from(G, C)
+            lengths = nx.single_source_dijkstra_path_length(g, C)
+            assert table.keys() == lengths.keys()
+            assert all(abs(table[c].value() - lengths[c]) < 1e-9 for c in table)
+            assert all(G.dist(C, c) == table[c] for c in range(0, len(G), 23))
+
+
+def test_forced_exact_compares_keep_every_table(monkeypatch):
+    hosts = _dijkstra_hosts()
+    want = [[G.dist_from(C) for C in _sources(G)] for G in hosts]
+    pairs = [[G.dist(C, c) for C in _sources(G) for c in range(0, len(G), 41)] for G in hosts]
+    # with a margin of 1 no float gap between nonnegative keys is wide
+    # enough, so every unequal relaxation takes the exact comparison
+    monkeypatch.setattr(mt, "_MARGIN", 1.0)
+    compares = []
+    exact_lt = WeightVector.__lt__
+    monkeypatch.setattr(WeightVector, "__lt__", lambda a, b: compares.append(1) or exact_lt(a, b))
+    assert [[G.dist_from(C) for C in _sources(G)] for G in hosts] == want
+    assert [[G.dist(C, c) for C in _sources(G) for c in range(0, len(G), 41)] for G in hosts] == pairs
+    assert len(compares) > 1000
+
+
+def test_words_pairs_take_the_packed_path(monkeypatch):
+    # the benchmark's stored pairs on four non-right-angled tessellations:
+    # no float gap between distinct distances falls inside the margin
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "words.json"
+    cases = []
+    for system in json.loads(path.read_text())["systems"]:
+        ball = CoxeterBall(parse_chamber_string(system["chamber"]), system["radius"])
+        G = mt.DualGraph(ball, q=tuple(system["q"]))
+        for pair in system["pairs"]:
+            C, D = (ball.index[tuple(w)] for w in pair["chambers"])
+            cases.append((G, C, D, G.wall_sum(C, D)))
+
+    def refuse(a, b):
+        raise AssertionError("exact comparison of %r and %r" % (a, b))
+
+    monkeypatch.setattr(WeightVector, "__lt__", refuse)
+    assert len(cases) == 512
+    for G, C, D, want in cases:
+        assert G.dist(C, D) == want
+
+
 def _minw_wall_sum(G, a, b):
     """The wall sum of a chamber pair by the search over reduced words
     (DualGraph._minw), whichever path G itself takes."""
@@ -132,7 +222,7 @@ def _check_letter_sum_on_every_pair(G):
     n = len(G)
     words = {G.ball.wdist(a, b) for a in range(n) for b in range(a, n)}
     for word in words:
-        assert G.min_word_weight(word) == G._minw(G.ball.system.canon(word))
+        assert G.min_word_weight(word) == G._minw(G.ball.system.canon(word)).pack(G.primes)
     rng = random.Random(5)
     for _ in range(200):
         a, b = rng.randrange(n), rng.randrange(n)

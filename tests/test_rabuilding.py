@@ -320,6 +320,26 @@ def test_apartment_contains_both_endpoints(bb3):
         assert A.position_of(D) == delta
 
 
+def test_apartment_through_normalizes_once(monkeypatch, bb3):
+    # oracle: the colors read off the normal form of the whole word C^-1 D
+    spec, system = bb3.spec, bb3.system
+    rng = random.Random(3)
+    pairs = [(rng.choice(bb3.words), rng.choice(bb3.words)) for _ in range(60)]
+    want = []
+    for C, D in pairs:
+        delta = rb.normal_form(rb.inverse_word(C, spec) + D, spec)
+        labels = tuple(i for (i, _c) in delta)
+        want.append(dict(zip(system.inversions(labels), (c for (_i, c) in delta))))
+    calls = []
+    normal_form = rb.normal_form
+    monkeypatch.setattr(rb, "normal_form", lambda w, s: calls.append(w) or normal_form(w, s))
+    assert [rb.apartment_through(bb3, C, D).colors for C, D in pairs] == want
+    # one normal form per call: that of C^-1, inside inverse_word
+    assert len(calls) == len(pairs)
+    with pytest.raises(rb.BuildingError):
+        rb.apartment_through(bb3, (), ((9, 1),))
+
+
 def test_apartment_is_distance_preserving(bb3):
     sysc = bb3.system
     rng = random.Random(2)
