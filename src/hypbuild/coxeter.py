@@ -413,11 +413,12 @@ class ChamberComplex:
     `panel(c, label)`, the words of every chamber of the panel of chamber
     c across edge `label` (in the ball or not), `_vertex_size(j)`, the
     number of chambers around a closed vertex j, and the chamber-level
-    `neighbors(c)` and `wdist(a, b)`.  The cells (`edges`, `edge_of`,
+    `neighbors(c)`, `step(c, label)` (one `rmul` lookup), `inverse(c)`
+    and `times(inv, b)` (for `wdist`).  The cells (`edges`, `edge_of`,
     `is_inner`, `vertices`, `vertex_of`) are built together by
-    `_build_cells` on the first read of any one of them.
-    A tessellation ball reads its panels off the root-point step that it
-    shares with the catalog; a building ball appends normal-form letters.
+    `_build_cells` on the first read of any one of them.  A tessellation
+    ball reads its panels off `rmul` and, past its radius, `canon`; a
+    building ball appends normal-form letters.
     Methods read `self.system` at call time, so a fresh CoxeterSystem
     can replace the word-problem caches between uses.
     """
@@ -437,7 +438,8 @@ class ChamberComplex:
         n = len(self.words)
         # edges: key -> (label, [in-ball chambers of the panel]); the key
         # is (least chamber word of the panel, label)
-        self.edge_of = [[None] * k for _ in range(n)]  # edge key per (chamber, label-1)
+        # set once every panel is read: a failed build leaves no cell behind
+        edge_of = [[None] * k for _ in range(n)]  # edge key per (chamber, label-1)
         edges = {}
         panels = [[None] * k for _ in range(n)]  # in-ball chambers per (chamber, label-1)
         full = [0] * k  # chambers of a complete panel, per label
@@ -447,10 +449,10 @@ class ChamberComplex:
                 key = (min(members), label)
                 chambers = edges.setdefault(key, (label, []))[1]
                 chambers.append(c)
-                self.edge_of[c][label - 1] = key
+                edge_of[c][label - 1] = key
                 panels[c][label - 1] = chambers
                 full[label - 1] = len(members)
-        self.edges = edges
+        self.edge_of, self.edges = edge_of, edges
         # a chamber is inner when all its panels lie in the ball
         self.is_inner = [list(map(len, row)) == full for row in panels]
         # vertices: components of the around-the-vertex moves (two panels);
@@ -486,6 +488,10 @@ class ChamberComplex:
                 for x in comp:
                     vertex_of[x][j - 1] = key
 
+    def wdist(self, a, b):
+        """The ShortLex W-distance word from chamber a to chamber b."""
+        return self.times(self.inverse(a), b)
+
     def interior_vertex_keys(self):
         return [k for k, v in self.vertices.items() if v["interior"]]
 
@@ -506,8 +512,8 @@ class CoxeterBall(ChamberComplex):
     the catalog uses, and reads `rmul` off it; no `canon` call is made
     while it is built.  No chamber past the radius is stepped to: since
     l(ws) = l(w) +- 1, every in-ball move of a last-level chamber is the
-    reverse of a move from the level below.  The cells are built on
-    first read."""
+    reverse of a move from the level below.  The tessellation is not
+    kept, and the cells are built on first read."""
 
     def __init__(self, spec, radius, chamber_cap=2_000_000):
         self.spec = spec
@@ -519,7 +525,7 @@ class CoxeterBall(ChamberComplex):
 
     def _build_group(self, cap):
         k = self.spec.k
-        tess = self._tess = Tessellation(self.spec)
+        tess = Tessellation(self.spec)
         words = tess.words
         level = range(1)
         for _ in range(self.radius):
@@ -530,7 +536,7 @@ class CoxeterBall(ChamberComplex):
                     if len(words) > cap:
                         raise ResourceCap("chamber cap %d exceeded" % cap)
             level = range(start, len(words))
-        order = self._order = sorted(range(len(words)), key=lambda t: (len(words[t]), words[t]))
+        order = sorted(range(len(words)), key=lambda t: (len(words[t]), words[t]))
         self.words = [words[t] for t in order]
         self.index = {w: i for i, w in enumerate(self.words)}
         # rmul[c][g - 1]: the index of the chamber across edge g of c; an
@@ -538,32 +544,31 @@ class CoxeterBall(ChamberComplex):
         position = {t: i for i, t in enumerate(order)}
         self.rmul = [[None if d is None else position[d] for d in tess.rmul[t]] for t in order]
 
-    @cached_property
-    def _across(self):
-        """_across[c][g - 1]: the word of the chamber across edge g of c,
-        in the ball or not; stepped on first use, then the tessellation
-        is dropped."""
-        tess, k = self._tess, self.spec.k
-        across = [[tess.words[tess.step(t, g)] for g in range(1, k + 1)] for t in self._order]
-        del self._tess, self._order
-        return across
-
     def neighbors(self, c):
         """Yield (neighbor index, label) over in-ball panel moves."""
         for label, d in enumerate(self.rmul[c], 1):
             if d is not None:
                 yield d, label
 
+    def step(self, c, label):
+        """The chamber across edge `label` of c, or None outside the ball."""
+        return self.rmul[c][label - 1]
+
     def panel(self, c, label):
         """The words of chamber c and of its neighbor across `label`."""
-        return (self.words[c], self._across[c][label - 1])
+        w, d = self.words[c], self.rmul[c][label - 1]
+        return (w, self.system.canon(w + (label,)) if d is None else self.words[d])
 
     def _vertex_size(self, j):
         return 2 * self.spec.m_at_vertex(j)
 
-    def wdist(self, a, b):
-        """The ShortLex W-distance word from chamber a to chamber b."""
-        return self.system.canon(tuple(reversed(self.words[a])) + self.words[b])
+    def inverse(self, c):
+        """A word for the inverse of chamber c: its word reversed."""
+        return self.words[c][::-1]
+
+    def times(self, inv, b):
+        """The ShortLex word of inv * words[b]."""
+        return self.system.canon(inv + self.words[b])
 
     # -- walls ----------------------------------------------------------
 

@@ -88,15 +88,17 @@ def reflection_matrix(u):
     ]
 
 
+# left folds, not sum(), which compensates float sums from Python 3.12 on:
+# every interpreter then gives the bits that trace's inlined rows give
 def mat_mul(A, B):
     return [
-        [sum(A[r][t] * B[t][c] for t in range(3)) for c in range(3)]
+        [A[r][0] * B[0][c] + A[r][1] * B[1][c] + A[r][2] * B[2][c] for c in range(3)]
         for r in range(3)
     ]
 
 
 def mat_apply(A, x):
-    return tuple(sum(A[r][c] * x[c] for c in range(3)) for r in range(3))
+    return tuple(A[r][0] * x[0] + A[r][1] * x[1] + A[r][2] * x[2] for r in range(3))
 
 
 def lorentz_defect(A):
@@ -381,33 +383,46 @@ def trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
     crossing parameter).  Raises NearVertex if a crossing point passes
     within VERTEX_MARGIN * inradius of an edge endpoint, LeftBall if the
     geodesic exits the ball.
+
+    The loop is written out on coordinates.  Its contract is the order of
+    its float operations: those of the helpers it inlines (bform,
+    geodesic_point, hyp_distance, mat_apply, the normalizations).
     """
     polygon, rmul = realized.polygon, realized.ball.rmul
     margin = VERTEX_MARGIN * polygon.inradius
     v = tangent_at(base, theta) if tangent is None else tangent
-    c, worst, (p, v) = _walk(realized, base, v)
+    c, worst, ((p0, p1, p2), (v0, v1, v2)) = _walk(realized, base, v)
     if worst < -1e-7:
         raise LeftBall("base point is not inside the ball")
+    # by label: each edge's normal, and its reflection rows and endpoints
+    normals = [(label, *u) for label, u in enumerate(polygon.normals, 1)]
+    frames = [(*refl, *polygon.edge_endpoints(label))
+              for label, refl in enumerate(polygon.reflections, 1)]
+    acosh, atanh, cosh, sinh, sqrt = math.acosh, math.atanh, math.cosh, math.sinh, math.sqrt
     crossings = []
     t0 = 0.0  # arc length from base to p
     entry = None  # the edge p lies on, never crossed again
     for _ in range(10000):
-        best = None
-        for label, u in enumerate(polygon.normals, 1):
-            bv = bform(v, u)
-            if label == entry or abs(bv) < 1e-15:
+        label = None
+        for i, u0, u1, u2 in normals:
+            bv = v0 * u0 - v1 * u1 - v2 * u2
+            if i == entry or abs(bv) < 1e-15:
                 continue
             # tanh of the arc length to the edge geodesic
-            x = -bform(p, u) / bv
-            if 1e-12 < x < 1.0 and (best is None or x < best[0]):
-                best = (x, label)
-        t = math.atanh(best[0]) if best else math.inf
+            x = -(p0 * u0 - p1 * u1 - p2 * u2) / bv
+            if 1e-12 < x < 1.0 and (label is None or x < bx):
+                bx, label = x, i
+        t = atanh(bx) if label else math.inf
         if t0 + t >= length:
             return crossings
-        label = best[1]
-        xpt = _normalize_point(geodesic_point(p, v, t))
-        va, vb = polygon.edge_endpoints(label)
-        if hyp_distance(xpt, va) < margin or hyp_distance(xpt, vb) < margin:
+        r0, r1, r2, va, vb = frames[label - 1]
+        ch, sh = cosh(t), sinh(t)
+        g0, g1, g2 = ch * p0 + sh * v0, ch * p1 + sh * v1, ch * p2 + sh * v2
+        s = sqrt(g0 * g0 - g1 * g1 - g2 * g2)
+        x0, x1, x2 = g0 / s, g1 / s, g2 / s
+        da = x0 * va[0] - x1 * va[1] - x2 * va[2]
+        db = x0 * vb[0] - x1 * vb[1] - x2 * vb[2]
+        if acosh(max(1.0, da)) < margin or acosh(max(1.0, db)) < margin:
             raise NearVertex("crossing at t=%.6f too close to a vertex" % (t0 + t))
         nxt = rmul[c][label - 1]
         if nxt is None:
@@ -415,12 +430,19 @@ def trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
                 return crossings
             raise LeftBall("geodesic exits the ball at t=%.6f" % (t0 + t))
         # the tangent at the crossing, then both into the next frame
-        ch, sh = math.cosh(t), math.sinh(t)
-        w = tuple(sh * p[i] + ch * v[i] for i in range(3))
-        refl = polygon.reflections[label - 1]
-        p = _normalize_point(mat_apply(refl, xpt))
-        w = mat_apply(refl, w)
-        v = _normalize_spacelike(tuple(w[i] - bform(w, p) * p[i] for i in range(3)))
+        w0, w1, w2 = sh * p0 + ch * v0, sh * p1 + ch * v1, sh * p2 + ch * v2
+        g0 = r0[0] * x0 + r0[1] * x1 + r0[2] * x2
+        g1 = r1[0] * x0 + r1[1] * x1 + r1[2] * x2
+        g2 = r2[0] * x0 + r2[1] * x1 + r2[2] * x2
+        s = sqrt(g0 * g0 - g1 * g1 - g2 * g2)
+        p0, p1, p2 = g0 / s, g1 / s, g2 / s
+        w0, w1, w2 = (r0[0] * w0 + r0[1] * w1 + r0[2] * w2,
+                      r1[0] * w0 + r1[1] * w1 + r1[2] * w2,
+                      r2[0] * w0 + r2[1] * w1 + r2[2] * w2)
+        d = w0 * p0 - w1 * p1 - w2 * p2
+        n0, n1, n2 = w0 - d * p0, w1 - d * p1, w2 - d * p2
+        s = sqrt(-(n0 * n0 - n1 * n1 - n2 * n2))
+        v0, v1, v2 = n0 / s, n1 / s, n2 / s
         c, entry, t0 = nxt, label, t0 + t
         crossings.append((label, c, t0))
     raise ToleranceFail("trace did not terminate")

@@ -44,8 +44,9 @@ Two independent distance engines are provided:
 
 Each wall sum is cached once, packed into one int (WeightVector.pack,
 one 64-bit field per prime of the weights), and computed from the
-reduced W-distance word that the ball's ``wdist`` returns, so a miss on
-a building host makes no word-problem call.  A boundary Gromov table
+W-distance word ``ball.times(ball.inverse(C), C')``, with C^-1 kept per
+chamber, so a building host's misses make no word-problem call and
+normalize each C^-1 once.  A boundary Gromov table
 holds 2{C_i|D_j}_C = |C_i - C| + |D_j - C| - |C_i - D_j| as such ints,
 so stabilization compares ints, and only the stable value is unpacked
 and halved; Busemann sequences work the same way.
@@ -53,7 +54,8 @@ and halved; Busemann sequences work the same way.
 Boundary points are finite-horizon ray surrogates: a RaySpec traces a
 geodesic through an apartment chart, a thin ball whose chambers are
 never realized (geomrender traces in each chamber's own frame), and
-induces a chamber sequence in the host; Gromov products, Busemann
+induces a chamber sequence in the host, stepped through the host ball's
+table on the default chart; Gromov products, Busemann
 cocycles and cross ratios are stabilized limits along those sequences,
 and a failure to stabilize is always surfaced, never truncated
 silently.
@@ -129,8 +131,8 @@ class DualGraph:
             ball.spec.m[j] % 2 == 0 or self.q[j] == self.q[(j + 1) % k] for j in range(k)
         )
         self._minw_cache = {(): WeightVector.zero()}
-        # (C, Cp) with C <= Cp -> its wall sum, packed (wall_code)
-        self._pair_cache = {}
+        # (C, Cp) with C <= Cp -> its wall sum, packed (wall_code); C -> C^-1
+        self._pair_cache, self._inverses = {}, {}
 
     def __len__(self):
         return len(self.ball)
@@ -197,8 +199,10 @@ class DualGraph:
         key = (C, Cp) if C <= Cp else (Cp, C)
         code = self._pair_cache.get(key)
         if code is None:
-            word = self.ball.wdist(key[0], key[1])
-            code = self._pair_cache[key] = self.min_word_weight(word)
+            inv = self._inverses.get(key[0])
+            if inv is None:
+                inv = self._inverses[key[0]] = self.ball.inverse(key[0])
+            code = self._pair_cache[key] = self.min_word_weight(self.ball.times(inv, key[1]))
         return code
 
     def min_word_weight(self, word):
@@ -295,13 +299,16 @@ class RaySpec:
     theta: float
     tangent: tuple = None
     _chambers: list = field(default=None, repr=False)
+    _key: tuple = field(default=None, repr=False)
     _seq: list = field(default=None, repr=False)
 
     def direction_key(self):
-        key = (tuple(round(x, 9) for x in self.base), round(self.theta, 9))
-        if self.tangent is not None:
-            key += (tuple(round(x, 9) for x in self.tangent),)
-        return key
+        if self._key is None:
+            key = (tuple(round(x, 9) for x in self.base), round(self.theta, 9))
+            if self.tangent is not None:
+                key += (tuple(round(x, 9) for x in self.tangent),)
+            self._key = key
+        return self._key
 
     def chart_chambers(self):
         """Chart chambers along the ray: start chamber, then each chamber
@@ -323,11 +330,25 @@ class RaySpec:
 
     def chamber_sequence(self):
         """Host chambers along the ray: the chart chambers mapped to the
-        host, truncated at the host ball boundary."""
+        host, truncated at the host ball boundary.  On a chart with no
+        colors and base () they are host steps: from chamber 0 along the
+        start's chart word, then one per crossing whose chart word grows
+        by one letter (else to_host).  This is exact, as alpha(w s) =
+        alpha(w) (s, 1) when l(w s) = l(w) + 1: reduced words differ only
+        by commutations, and (i, 1), (j, 1) commute when s_i, s_j do."""
         if self._seq is None:
-            seq = []
-            for c in self.chart_chambers():
-                h = self.chart.to_host(c)
+            chambers, chart = self.chart_chambers(), self.chart
+            host, thin = chart.graph.ball, chart.realized.ball
+            steps = chart.coloring is None or not (chart.coloring.colors or chart.coloring.base)
+            seq, h = [], 0
+            for prev, c in zip([None] + chambers, chambers):
+                if steps and prev is None:
+                    for letter in thin.words[c]:
+                        h = None if h is None else host.step(h, letter)
+                elif steps and len(thin.words[c]) == len(thin.words[prev]) + 1:
+                    h = host.step(h, thin.rmul[prev].index(c) + 1)
+                else:
+                    h = chart.to_host(c)
                 if h is None:
                     break
                 seq.append(h)

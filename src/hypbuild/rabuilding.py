@@ -109,10 +109,9 @@ def inverse_word(word, spec):
     return normal_form(inv, spec)
 
 
-def _inverse_times(g, h, spec):
-    """Normal form of g^{-1} h: h's letters appended one at a time to the
-    normal form of g^{-1}."""
-    delta = inverse_word(g, spec)
+def _times(delta, h, spec):
+    """Normal form of delta h, for delta in normal form: h's letters
+    appended one at a time."""
     for letter in h:
         if not 1 <= letter[0] <= spec.k:
             raise BuildingError("FormatError", "letter label %r out of range" % (letter[0],))
@@ -127,7 +126,7 @@ def wdist(g, h, spec):
     labels of a normal form are already the ShortLex word of W, and its
     length is the gallery distance between the chambers.
     """
-    return tuple(i for (i, _c) in _inverse_times(g, h, spec))
+    return tuple(i for (i, _c) in _times(inverse_word(g, spec), h, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +145,8 @@ class BuildingBall(ChamberComplex):
         self._letters = [
             (i, c) for i in range(1, spec.k + 1) for c in range(1, spec.q[i - 1] + 1)
         ]
+        # _unit[i - 1]: the position of the letter (i, 1) in _letters
+        self._unit = [self._letters.index((i, 1)) for i in range(1, spec.k + 1)]
         self._build_chambers(chamber_cap)
 
     # -- chambers -------------------------------------------------------
@@ -186,9 +187,17 @@ class BuildingBall(ChamberComplex):
             if j is not None:
                 yield j, i
 
-    def wdist(self, a, b):
-        """The ShortLex W-distance word from chamber a to chamber b."""
-        return wdist(self.words[a], self.words[b], self.spec)
+    def step(self, c, label):
+        """The chamber words[c] * (label, 1), or None outside the ball."""
+        return self.rmul[c][self._unit[label - 1]]
+
+    def inverse(self, c):
+        """The normal form of chamber c's inverse."""
+        return inverse_word(self.words[c], self.spec)
+
+    def times(self, inv, b):
+        """The ShortLex W-word of inv * words[b]: its normal form's labels."""
+        return tuple(i for (i, _c) in _times(inv, self.words[b], self.spec))
 
     # -- cells ----------------------------------------------------------
 
@@ -260,7 +269,7 @@ def apartment_through(ball, C, C_prime):
     """A deterministic apartment containing both chambers: colors are read
     off the unique normal-form gallery from C to C', default 1 elsewhere."""
     spec, system = ball.spec, ball.system
-    delta = _inverse_times(C, C_prime, spec)
+    delta = _times(inverse_word(C, spec), C_prime, spec)
     # the labels of a normal form are already the ShortLex word of W
     labels = tuple(i for (i, _c) in delta)
     colors = {refl: c for refl, (_i, c) in zip(system.inversions(labels), delta)}

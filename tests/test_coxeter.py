@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -361,32 +363,51 @@ def test_ball_build_makes_no_canon_call(monkeypatch):
         assert len(CoxeterBall(spec, radius).words[-1]) == radius
 
 
-def test_ball_build_makes_no_cells(no_cells):
+def _record_tessellations(monkeypatch):
+    """Every Tessellation made from now on, in order."""
+    made = []
+    init = Tessellation.__init__
+
+    def record(self, spec):
+        init(self, spec)
+        made.append(self)
+
+    monkeypatch.setattr(Tessellation, "__init__", record)
+    return made
+
+
+def test_ball_build_makes_no_cells(no_cells, monkeypatch):
+    made = _record_tessellations(monkeypatch)
     for spec, radius in BALL_ORACLE_CASES[:5]:
         ball = CoxeterBall(spec, radius)
         assert len(ball.words[-1]) == radius
         # no chamber past the radius has been stepped to
-        assert len(ball._tess) == len(ball)
+        assert len(made.pop()) == len(ball)
 
 
-def test_tessellation_dropped_after_cells():
+def test_no_tessellation_outlives_construction(monkeypatch):
+    made = _record_tessellations(monkeypatch)
     ball = CoxeterBall(validate(3, (2, 3, 8)), 6)
-    assert len(ball._tess) == len(ball)
-    assert len(ball.edges) > 0
-    assert not hasattr(ball, "_tess")
-    assert len(ball._across) == len(ball)
+    tess = weakref.ref(made.pop())
+    gc.collect()
+    assert tess() is None
+    # the cells are built without it
+    oracle = _CanonBall(validate(3, (2, 3, 8)), 6)
+    assert ball.edges == oracle.edges and ball.vertices == oracle.vertices
 
 
-def test_failed_cell_build_keeps_the_tessellation(monkeypatch):
-    # a step that fails while the panel words are built leaves the ball
-    # able to build its cells on the next read
+def test_failed_cell_build_recovers_on_next_read(monkeypatch):
+    # a word problem that fails while the panel words are built leaves no
+    # cell behind, and the ball builds its cells on the next read
     ball = CoxeterBall(validate(3, (2, 3, 8)), 4)
     with monkeypatch.context() as m:
-        m.setattr(Tessellation, "step", lambda self, c, g: 1 / 0)
+        m.setattr(CoxeterSystem, "canon", lambda self, word: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             ball.edges
-    assert len(ball._tess) == len(ball)
+        with pytest.raises(ZeroDivisionError):
+            ball.edge_of
     assert len(ball.edges) > 0
+    assert ball.edges == CoxeterBall(validate(3, (2, 3, 8)), 4).edges
 
 
 CELLS = ("edges", "edge_of", "is_inner", "vertices", "vertex_of")

@@ -1,11 +1,12 @@
+import decimal
 import math
 import random
 
 import pytest
 
-from hypbuild import geomrender as gr
+from hypbuild import geomrender as gr, metrics as mt
 from hypbuild.chamber import ChamberSpec, area, validate
-from hypbuild.coxeter import CoxeterBall
+from hypbuild.coxeter import CoxeterBall, Tessellation
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +259,210 @@ def test_trace_matches_wall_crossing_oracle(real238):
         assert ts == sorted(ts) and len(set(ts)) == len(ts)
         checked += 1
     assert checked >= 100
+
+
+def _reference_trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
+    """The crossing loop of gr.trace as it was written on the helpers, one
+    helper call per vector operation: the oracle of the flat kernel."""
+    polygon, rmul = realized.polygon, realized.ball.rmul
+    margin = gr.VERTEX_MARGIN * polygon.inradius
+    v = gr.tangent_at(base, theta) if tangent is None else tangent
+    c, worst, (p, v) = gr._walk(realized, base, v)
+    if worst < -1e-7:
+        raise gr.LeftBall("base point is not inside the ball")
+    crossings = []
+    t0 = 0.0
+    entry = None
+    for _ in range(10000):
+        best = None
+        for label, u in enumerate(polygon.normals, 1):
+            bv = gr.bform(v, u)
+            if label == entry or abs(bv) < 1e-15:
+                continue
+            x = -gr.bform(p, u) / bv
+            if 1e-12 < x < 1.0 and (best is None or x < best[0]):
+                best = (x, label)
+        t = math.atanh(best[0]) if best else math.inf
+        if t0 + t >= length:
+            return crossings
+        label = best[1]
+        xpt = gr._normalize_point(gr.geodesic_point(p, v, t))
+        va, vb = polygon.edge_endpoints(label)
+        if gr.hyp_distance(xpt, va) < margin or gr.hyp_distance(xpt, vb) < margin:
+            raise gr.NearVertex("crossing at t=%.6f too close to a vertex" % (t0 + t))
+        nxt = rmul[c][label - 1]
+        if nxt is None:
+            if stop_at_boundary:
+                return crossings
+            raise gr.LeftBall("geodesic exits the ball at t=%.6f" % (t0 + t))
+        ch, sh = math.cosh(t), math.sinh(t)
+        w = tuple(sh * p[i] + ch * v[i] for i in range(3))
+        refl = polygon.reflections[label - 1]
+        p = gr._normalize_point(gr.mat_apply(refl, xpt))
+        w = gr.mat_apply(refl, w)
+        v = gr._normalize_spacelike(tuple(w[i] - gr.bform(w, p) * p[i] for i in range(3)))
+        c, entry, t0 = nxt, label, t0 + t
+        crossings.append((label, c, t0))
+    raise gr.ToleranceFail("trace did not terminate")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (gr.NearVertex, gr.LeftBall, gr.ToleranceFail) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("k,m,radius", [
+    (3, (2, 3, 8), 6), (4, (2, 4, 2, 6), 6), (5, (2, 2, 2, 2, 2), 7),
+])
+def test_trace_kernel_matches_the_helper_trace(k, m, radius):
+    """Same crossings (labels, chambers, t compared with ==) and the same
+    exceptions as the helper-composed loop, with and without
+    stop_at_boundary, on 200 seeded rays per chart."""
+    chart = mt.realized_apartment(validate(k, m), radius)
+    inr = chart.polygon.inradius
+    rng = random.Random(17 * k + radius)
+    kinds = {}
+    for n in range(200):
+        phi, d = rng.uniform(0, 2 * math.pi), inr * rng.uniform(0, 2.5)
+        base = (math.cosh(d), math.sinh(d) * math.cos(phi), math.sinh(d) * math.sin(phi))
+        theta = rng.uniform(0, 2 * math.pi)
+        tangent = gr.tangent_at(base, theta + 0.5) if n % 4 == 3 else None
+        length = 1e9 if n % 2 else rng.uniform(0.1, 4.0)
+        for stop in (True, False):
+            want = _outcome(_reference_trace, chart, base, theta, length, tangent, stop)
+            got = _outcome(gr.trace, chart, base, theta, length, tangent, stop)
+            assert got == want
+            kind = want[0].__name__ if isinstance(want, tuple) else "crossings"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    # every outcome is exercised
+    assert kinds.get("crossings", 0) > 100 and kinds.get("LeftBall", 0) > 20
+    assert kinds.get("NearVertex", 0) + kinds["crossings"] + kinds["LeftBall"] == 400
+
+
+# ---------------------------------------------------------------------------
+# precision oracle: the pentagon billiard at 60 digits
+# ---------------------------------------------------------------------------
+
+class _Endless:
+    """A thin chart ball whose table never ends: each row is stepped on
+    the tessellation when it is read."""
+
+    def __init__(self, spec):
+        self.tess = Tessellation(spec)
+        self.words = self.tess.words
+        self.rmul = self
+
+    def __getitem__(self, c):
+        return [self.tess.step(c, g) for g in range(1, self.tess.k + 1)]
+
+
+def _dec_pentagon():
+    """The right-angled regular pentagon at 60 digits: vertex j at
+    direction (2j + 1) pi/5 and cosh-distance cot(pi/5), inradius r with
+    cosh r = cos(pi/4) / sin(pi/5); normals and reflections by the
+    formulas of gr.geodesic_normal and gr.reflection_matrix."""
+    D = decimal.Decimal
+    r5 = D(5).sqrt()
+    c, s = (1 + r5) / 4, ((5 - r5) / 8).sqrt()  # cos, sin of pi/5
+    rc, rs = (r5 - 1) / 4, ((5 + r5) / 8).sqrt()  # cos, sin of 2 pi/5
+    ch = c / s
+    sh = (ch * ch - 1).sqrt()
+    vertices = []
+    for _ in range(5):
+        vertices.append((ch, sh * c, sh * s))
+        c, s = c * rc - s * rs, s * rc + c * rs
+    normals, reflections = [], []
+    for label in range(1, 6):
+        a, b = vertices[(label - 2) % 5], vertices[label - 1]
+        u = (a[1] * b[2] - a[2] * b[1], -(a[2] * b[0] - a[0] * b[2]), -(a[0] * b[1] - a[1] * b[0]))
+        u = _dec_unit(u, -1)
+        ju = (u[0], -u[1], -u[2])
+        normals.append(u)
+        reflections.append([[(1 if i == j else 0) + 2 * u[i] * ju[j] for j in range(3)]
+                            for i in range(3)])
+    cosh_r = D(2).sqrt() / 2 / ((5 - r5) / 8).sqrt()
+    inradius = (cosh_r + (cosh_r * cosh_r - 1).sqrt()).ln()
+    return vertices, normals, reflections, inradius
+
+
+def _dec_bform(x, y):
+    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
+
+
+def _dec_unit(x, sign):
+    s = (sign * _dec_bform(x, x)).sqrt()
+    return tuple(xi / s for xi in x)
+
+
+def _dec_trace(pentagon, p, v, crossings):
+    """Labels and arc lengths of the first `crossings` crossings of the
+    billiard from p along v in the base frame, and the arc length of a
+    crossing within VERTEX_MARGIN inradii of a vertex that stopped it
+    earlier (else None)."""
+    vertices, normals, reflections, inradius = pentagon
+    margin = decimal.Decimal(gr.VERTEX_MARGIN) * inradius
+    labels, ts, t0, entry = [], [], 0, None
+    while len(labels) < crossings:
+        x, label = min(
+            (-_dec_bform(p, u) / _dec_bform(v, u), i)
+            for i, u in enumerate(normals, 1)
+            if i != entry and _dec_bform(v, u) != 0 and 0 < -_dec_bform(p, u) / _dec_bform(v, u) < 1
+        )
+        t = ((1 + x) / (1 - x)).ln() / 2
+        et = t.exp()
+        ch, sh = (et + 1 / et) / 2, (et - 1 / et) / 2
+        xpt = _dec_unit(tuple(ch * p[i] + sh * v[i] for i in range(3)), 1)
+        for end in (vertices[(label - 2) % 5], vertices[label - 1]):
+            b = _dec_bform(xpt, end)
+            if (b + (b * b - 1).sqrt()).ln() < margin:
+                return labels, ts, t0 + t
+        refl = reflections[label - 1]
+        w = tuple(sh * p[i] + ch * v[i] for i in range(3))
+        p = _dec_unit(tuple(sum(refl[r][j] * xpt[j] for j in range(3)) for r in range(3)), 1)
+        w = tuple(sum(refl[r][j] * w[j] for j in range(3)) for r in range(3))
+        d = _dec_bform(w, p)
+        v = _dec_unit(tuple(w[i] - d * p[i] for i in range(3)), -1)
+        entry, t0 = label, t0 + t
+        labels.append(label)
+        ts.append(t0)
+    return labels, ts, None
+
+
+def test_float_trace_agrees_with_a_60_digit_trace(pentagon):
+    """Float labels agree with the 60-digit billiard for 30 crossings, or
+    up to a crossing near a vertex that both traces reject.  The arc
+    lengths drift apart as geodesics diverge, about e^t times the float
+    rounding."""
+    chart = mt.Apartment(_Endless(pentagon), gr.normal_polygon(pentagon))
+    D = decimal.Decimal
+    rng = random.Random(60)
+    full = 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dec = _dec_pentagon()
+        assert abs(float(dec[3]) - chart.polygon.inradius) < 1e-12
+        for _ in range(24):
+            phi, d = rng.uniform(0, 2 * math.pi), rng.uniform(0, 0.2)
+            base = (math.cosh(d), math.sinh(d) * math.cos(phi), math.sinh(d) * math.sin(phi))
+            tangent = gr.tangent_at(base, rng.uniform(0, 2 * math.pi))
+            p = _dec_unit(tuple(D(x) for x in base), 1)
+            v = tuple(D(x) for x in tangent)
+            v = _dec_unit(tuple(v[i] - _dec_bform(v, p) * p[i] for i in range(3)), -1)
+            labels, ts, near = _dec_trace(dec, p, v, 30)
+            end = float(near if near is not None else ts[-1] + 1)
+            if near is not None:
+                with pytest.raises(gr.NearVertex):
+                    gr.trace(chart, base, 0.0, end + 1e-3, tangent=tangent)
+                end -= 1e-3
+            else:
+                full += 1
+            crossings = gr.trace(chart, base, 0.0, end, tangent=tangent)
+            assert [lbl for lbl, _c, _t in crossings[:len(labels)]] == labels
+            for (_l, _c, t), u in zip(crossings, ts):
+                assert abs(t - float(u)) < 1e-12 * math.exp(t)
+    assert full >= 20
 
 
 # ---------------------------------------------------------------------------

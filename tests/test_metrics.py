@@ -762,6 +762,105 @@ def test_stored_boundary_quadruples_are_pinned():
     assert digest == STORED_BOUNDARY_SHA256
 
 
+def _alpha_sequence(ray):
+    """The host sequence with every chart chamber mapped by to_host."""
+    seq = []
+    for c in ray.chart_chambers():
+        h = ray.chart.to_host(c)
+        if h is None:
+            break
+        seq.append(h)
+    return seq
+
+
+def test_stored_rays_step_their_host_chambers(monkeypatch):
+    # the 960 stored rays' host sequences, first through alpha, then with
+    # canon and alpha refusing: the default chart steps the host's table
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "boundary.json"
+    data = json.loads(path.read_text())
+    G = mt.DualGraph(rb.ball(parse_chamber_string(data["spec"]), data["radius"]))
+    chart = mt.chart_for(G, data["chart_radius"])
+    rays = [tuple(r) for quad in data["quadruples"] for r in quad["rays"]]
+    want = [_alpha_sequence(_ray(chart, r[:3], r[3])) for r in rays]
+
+    def refuse(self, word):
+        raise AssertionError("called on %s" % (word,))
+
+    monkeypatch.setattr(CoxeterSystem, "canon", refuse)
+    monkeypatch.setattr(rb.ApartmentColoring, "alpha", refuse)
+    assert [_ray(chart, r[:3], r[3]).chamber_sequence() for r in rays] == want
+    assert len(want) == 960 and sum(map(len, want)) > 3 * 960
+
+
+@pytest.mark.parametrize("k,m,radius", [(3, (2, 3, 8), 6), (4, (2, 4, 2, 6), 5), (5, (2,) * 5, 4)])
+def test_thin_host_steps_match_index_lookups(k, m, radius):
+    G = mt.DualGraph(CoxeterBall(validate(k, m), radius))
+    chart = mt.chart_for(G)
+    words = chart.realized.ball.words
+    rng = random.Random(radius)
+    checked = 0
+    for _ in range(100):
+        phi, d = rng.uniform(0, 2 * math.pi), rng.uniform(0, 1.5) * chart.realized.polygon.inradius
+        base = (math.cosh(d), math.sinh(d) * math.cos(phi), math.sinh(d) * math.sin(phi))
+        ray = _ray(chart, base, rng.uniform(0, 2 * math.pi))
+        try:
+            seq = ray.chamber_sequence()
+        except gr.NearVertex:
+            continue
+        want = []
+        for c in ray.chart_chambers():
+            if words[c] not in G.ball.index:
+                break
+            want.append(G.ball.index[words[c]])
+        assert seq == want
+        checked += len(seq) > 2
+    assert checked > 80
+
+
+def test_colored_charts_map_through_alpha(monkeypatch, pentagon_thick):
+    G = mt.DualGraph(rb.ball(pentagon_thick, 4))
+    branch = mt._panel_charts(G, mt.chart_for(G), 0, 1)
+    calls = []
+    alpha = rb.ApartmentColoring.alpha
+
+    def counted(self, w):
+        calls.append(w)
+        return alpha(self, w)
+
+    monkeypatch.setattr(rb.ApartmentColoring, "alpha", counted)
+    for chart, color in branch:
+        # a ray out of the base chamber across edge 1, into the colored panel
+        ray = _ray(chart, ORIGIN, 0.1)
+        calls.clear()
+        seq = ray.chamber_sequence()
+        assert len(calls) == len(seq) + 1 and len(seq) > 2
+        assert seq == _alpha_sequence(ray)
+        assert G.ball.words[seq[1]] == ((1, color),)
+
+
+def test_wall_sums_normalize_each_inverse_once(monkeypatch, pentagon_thick):
+    ball = rb.ball(pentagon_thick, 3)
+    n = len(ball)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    random.Random(3).shuffle(pairs)
+    want = [_minw_wall_sum(mt.DualGraph(ball), a, b) for a, b in pairs]
+    calls = []
+    inverse_word = rb.inverse_word
+
+    def counted(word, spec):
+        calls.append(word)
+        return inverse_word(word, spec)
+
+    monkeypatch.setattr(rb, "inverse_word", counted)
+    for _ in range(2):
+        calls.clear()
+        G = mt.DualGraph(ball)
+        assert [G.wall_sum(a, b) for a, b in pairs] == want
+        # one inverse per chamber and graph, kept on the graph
+        assert sorted(calls) == sorted(ball.words)
+        assert len(G._inverses) == n
+
+
 def test_cross_ratio_all_through_interior_is_zero(bG):
     chart = mt.chart_for(bG)
     rays = [_ray(chart, ORIGIN, t) for t in (0.3, 1.1, 2.5, 4.0)]
