@@ -996,3 +996,54 @@ def test_detect_side_sampling_report(bG):
     assert rep["pass"]
     kinds = {r["kind"] for r in rep["records"] if "kind" in r}
     assert {"same", "opposite", "branch"} <= kinds
+
+
+# sha256 of the repr of every per-sample result of the seeded detection
+# experiments on two R=4 buildings, labels 1-5: (q, label, skeleton, side)
+DETECTION_SHA256 = [
+    ((2, 2, 2, 2, 2), 1,
+     "b45cd56f82e3a9b671781d206314a47586610711113e5d65157a13705d3b6d35",
+     "9989405c4041fc634e16c93e50a36cf6ce219a1049697bc9dd65f0ff42bc39a8"),
+    ((2, 2, 2, 2, 2), 2,
+     "f7ed7f850db778900b5e1d09fe8e2a1f95179b659bd21ddf2af3363b621c0b46",
+     "7e43b34a34f2429132ae6493e9eb3f09e9bdce1dbd940209125ca86e781582ea"),
+    ((2, 2, 2, 2, 2), 3,
+     "238fbbca51fd03544bdf36b89b52f82480965820bf09ec164915df1ed38e6a90",
+     "3dd51cd14fb92b906f3d692bbe9f1a93cbf47f1d4577a6082ec87f6a38a20f76"),
+    ((2, 2, 2, 2, 2), 4,
+     "a6de1606a0220092807c1b89a5a5dd2b2058583cad7d77500a64d21723983019",
+     "e0d001b5b9eaa514a133df41a7b4c9edc7b4ed66e29c493cebd8bf5f27be1f42"),
+    ((2, 2, 2, 2, 2), 5,
+     "e74a458fdb7316447179a184544277210d3239cf981e12762431d29c5559703a",
+     "634a09a60a7893d0ff2248ae062ad5358fac2f0ba2d565e701e03f91ee8b3fec"),
+    ((3, 2, 4, 2, 3), 1,
+     "ef1168af6f352fdcc48c432cea14c5af81cf5de50c0e78e6316671ed1be9018c",
+     "6c1feec08b836859d906212427d089bbee81e05b7d3d1c09e132e3dfd569ebb7"),
+    ((3, 2, 4, 2, 3), 2,
+     "f7ed7f850db778900b5e1d09fe8e2a1f95179b659bd21ddf2af3363b621c0b46",
+     "ca11e1a393f61f2c3934646ce8d5d4d52865082dfdfad09c5f5b5de943001b78"),
+    ((3, 2, 4, 2, 3), 3,
+     "88984ff44324d8aa863663bfc61630e46b75fdc963aca13c5314d88772671df4",
+     "7391b7ac322497ad1e069bdca80c4beae951186e1ee6f5ce8323317815444714"),
+    ((3, 2, 4, 2, 3), 4,
+     "a6de1606a0220092807c1b89a5a5dd2b2058583cad7d77500a64d21723983019",
+     "8459933536a6c036cbdc646dcbe6af3f45b94c46af8bb818425dabe47761597a"),
+    ((3, 2, 4, 2, 3), 5,
+     "72bf2fcef844e94417f37679a950751cc31157c4ee0286d8f6387f09ee422d52",
+     "4c78f26e58e633645a53be247c0c020881fab22adc44cc94594cae86e680dfef"),
+]
+
+
+@pytest.fixture(scope="module")
+def detection_hosts():
+    qs = {q for q, *_digests in DETECTION_SHA256}
+    return {q: mt.DualGraph(rb.ball(validate(5, (2,) * 5, q), 4)) for q in qs}
+
+
+@pytest.mark.parametrize("q,label,skeleton,side", DETECTION_SHA256)
+def test_detection_samples_are_pinned(detection_hosts, q, label, skeleton, side):
+    G = detection_hosts[q]
+    rep = mt.detect_skeleton_experiment(G, ("wall", label), samples=24, seed=0)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == skeleton
+    rep = mt.detect_side_experiment(G, label, configs=12, seed=0)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == side
