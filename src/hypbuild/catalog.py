@@ -251,7 +251,6 @@ def build_entry(T, S, expect_shape=None):
     if shape is None or (expect_shape is not None and shape != expect_shape):
         return None
     vseq, eseq = _boundary_walk(T, disk)
-    n_b = len(vseq)
     corner_pos = [i for i, v in enumerate(vseq) if v in corners]
     if len(corner_pos) != len(corners):
         return None
@@ -513,7 +512,6 @@ def brute_force_catalog(spec, shape, n_max=8):
     convex disk whose boundary is a triangle/quadrilateral, and return
     the class set."""
     T = tessellation(spec)
-    n_corners = 3 if shape == "triangle" else 4
     results = {}
 
     def consider(S):

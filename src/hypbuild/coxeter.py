@@ -409,16 +409,19 @@ class ChamberComplex:
     (rabuilding.BuildingBall).
 
     A subclass sets `spec`, `radius`, `system`, `words` (chamber words,
-    index = position) and `index` (word -> position).  It supplies
-    `panel(c, label)`, the words of every chamber of the panel of chamber
-    c across edge `label` (in the ball or not), `_vertex_size(j)`, the
-    number of chambers around a closed vertex j, and the chamber-level
-    `neighbors(c)`, `step(c, label)` (one `rmul` lookup), `inverse(c)`
-    and `times(inv, b)` (for `wdist`).  The cells (`edges`, `edge_of`,
-    `is_inner`, `vertices`, `vertex_of`) are built together by
-    `_build_cells` on the first read of any one of them.  A tessellation
-    ball reads its panels off `rmul` and, past its radius, `canon`; a
-    building ball appends normal-form letters.
+    index = position), `index` (word -> position), its letters
+    (`_set_letters`) and `rmul` (rmul[c][n]: words[c] times the n-th
+    letter, or None outside the ball).  A letter is (label, color), 1 <=
+    color <= thickness[label - 1], the number of chambers across a panel
+    of type label (1 on a thin ball).  `neighbors`, `step` and `panel`
+    read `rmul` here.  A subclass supplies `append(word, label, color)`,
+    a normal form times one letter, `_vertex_size(j)`, the number of
+    chambers around a closed vertex j, and `inverse(c)` and
+    `times(inv, b)` (for `wdist`).
+    The cells (`edges`, `edge_of`, `is_inner`, `vertices`, `vertex_of`)
+    are built together by `_build_cells` on the first read of any one of
+    them.  Panels are read off `rmul` and, past the radius, `append`
+    (`canon` on a tessellation ball, a normal-form letter on a building).
     Methods read `self.system` at call time, so a fresh CoxeterSystem
     can replace the word-problem caches between uses.
     """
@@ -488,6 +491,33 @@ class ChamberComplex:
                 for x in comp:
                     vertex_of[x][j - 1] = key
 
+    def _set_letters(self, thickness):
+        self.thickness = tuple(thickness)
+        self._letters = [(i, c) for i, q in enumerate(thickness, 1) for c in range(1, q + 1)]
+        self.labels = [i for i, _c in self._letters]  # labels[n]: the label of rmul's column n
+        # _first[i - 1]: the column of rmul of the letter (i, 1)
+        self._first = [self._letters.index((i, 1)) for i in range(1, len(thickness) + 1)]
+
+    def neighbors(self, c):
+        """Yield (neighbor index, label) over in-ball panel moves."""
+        for label, d in zip(self.labels, self.rmul[c]):
+            if d is not None:
+                yield d, label
+
+    def step(self, c, label, color=1):
+        """The chamber words[c] * (label, color), or None outside the ball."""
+        return self.rmul[c][self._first[label - 1] + color - 1]
+
+    def panel(self, c, label):
+        """The words of chamber c and of every chamber across its edge
+        `label`, in the ball or not."""
+        w = self.words[c]
+        out = [w]
+        for color in range(1, self.thickness[label - 1] + 1):
+            d = self.step(c, label, color)
+            out.append(self.append(w, label, color) if d is None else self.words[d])
+        return out
+
     def wdist(self, a, b):
         """The ShortLex W-distance word from chamber a to chamber b."""
         return self.times(self.inverse(a), b)
@@ -519,6 +549,7 @@ class CoxeterBall(ChamberComplex):
         self.spec = spec
         self.radius = radius
         self.system = CoxeterSystem(spec)
+        self._set_letters((1,) * spec.k)
         self._build_group(chamber_cap)
 
     # -- group layer ----------------------------------------------------
@@ -544,20 +575,9 @@ class CoxeterBall(ChamberComplex):
         position = {t: i for i, t in enumerate(order)}
         self.rmul = [[None if d is None else position[d] for d in tess.rmul[t]] for t in order]
 
-    def neighbors(self, c):
-        """Yield (neighbor index, label) over in-ball panel moves."""
-        for label, d in enumerate(self.rmul[c], 1):
-            if d is not None:
-                yield d, label
-
-    def step(self, c, label):
-        """The chamber across edge `label` of c, or None outside the ball."""
-        return self.rmul[c][label - 1]
-
-    def panel(self, c, label):
-        """The words of chamber c and of its neighbor across `label`."""
-        w, d = self.words[c], self.rmul[c][label - 1]
-        return (w, self.system.canon(w + (label,)) if d is None else self.words[d])
+    def append(self, word, label, color=1):
+        """The ShortLex word of word * s_label (a thin ball's one color)."""
+        return self.system.canon(word + (label,))
 
     def _vertex_size(self, j):
         return 2 * self.spec.m_at_vertex(j)
@@ -645,7 +665,7 @@ def wall_type(ball, wall):
     less than one full period of the pattern is visible in the ball."""
     comps = boundary_components(ball.spec)
     full_cycle = all(mi == 3 for mi in ball.spec.m)
-    ordered, labels = ball.wall_edge_path(wall)
+    _, labels = ball.wall_edge_path(wall)
     comp = next((c for c in comps if wall.anchor_label in c), None)
     period = wall_period(comp, ball.spec.k, full_cycle)
     if len(labels) < len(period):

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 
-from .chamber import area
-
 
 LORENTZ_TOL = 1e-9
 # a traced crossing must keep this many inradii away from both ends of
@@ -499,10 +497,6 @@ def render_svg(realized, overlays=None, size=800):
     overlays = overlays or {}
     half = size / 2.0
     scale = half * 0.95
-
-    def pt(z):
-        return (half + scale * z[0], half - scale * z[1])
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '

@@ -11,9 +11,10 @@ wall it lies on is one word-problem query (CoxeterSystem.separates).
 
 The host ball is a CoxeterBall (a thin apartment) or a
 rabuilding.BuildingBall.  Both give the chamber interface of
-coxeter.ChamberComplex (`neighbors`, `wdist`, `is_inner`), so the
-distance engines never ask which one they have; only apartment charts
-and the branch rays of the detection experiments do.
+coxeter.ChamberComplex (`rmul`, `step`, `append`, `thickness`,
+`wdist`, `is_inner`), so no code here asks which one it has: the
+detection experiments add branch rays exactly where a panel's thickness
+exceeds 1.
 
 Two independent distance engines are provided:
 
@@ -54,8 +55,8 @@ and halved; Busemann sequences work the same way.
 Boundary points are finite-horizon ray surrogates: a RaySpec traces a
 geodesic through an apartment chart, a thin ball whose chambers are
 never realized (geomrender traces in each chamber's own frame), and
-induces a chamber sequence in the host, stepped through the host ball's
-table on the default chart; Gromov products, Busemann
+induces a chamber sequence in the host, one step of the host ball's
+table per crossing on every chart; Gromov products, Busemann
 cocycles and cross ratios are stabilized limits along those sequences,
 and a failure to stabilize is always surfaced, never truncated
 silently.
@@ -157,6 +158,7 @@ class DualGraph:
         """Exact packed distances from C (see the module docstring); with
         a target, only the target's is sure to be final."""
         codes, logs, primes = self._label_codes, self._label_logs, self.primes
+        labels, rmul = self.ball.labels, self.ball.rmul  # ball.neighbors, inlined in the hot loop
         best, key = {C: 0}, {C: 0.0}
         heap = [(0.0, C, 0)]
         stop = math.inf  # past this key no chamber can beat the target's distance
@@ -169,7 +171,9 @@ class DualGraph:
             if c == target:
                 stop = f * (1 + _MARGIN)
                 continue
-            for d, label in self.ball.neighbors(c):
+            for label, d in zip(labels, rmul[c]):
+                if d is None:
+                    continue
                 nd = code + codes[label - 1]
                 nf = f + logs[label - 1]
                 old = best.get(d)
@@ -261,29 +265,30 @@ def realized_apartment(spec, radius):
 
 
 class ApartmentChart:
-    """An apartment (thin ball and polygon) together with the map from
-    its chambers to host chambers.  For a tessellation host the map is
-    the identity; for a building host it is an ApartmentColoring."""
+    """An apartment (thin ball and polygon) laid into the host: its
+    origin on the host chamber `coloring.base` and each wall colored by
+    `coloring` (an rb.ApartmentColoring).  With no coloring, the origin
+    lies on the base chamber and every wall has color 1."""
 
     def __init__(self, graph, realized, coloring=None):
         self.graph = graph
         self.realized = realized
         self.coloring = coloring
 
-    def to_host(self, chart_chamber):
-        w = self.realized.ball.words[chart_chamber]
-        ball = self.graph.ball
-        if self.coloring is None:
-            return ball.index.get(w)
-        return ball.index.get(self.coloring.alpha(w))
+    def host_of(self, chart_chamber):
+        """The host chamber of a chart chamber, or None outside the host
+        ball: the base's normal form times the chamber's chart word, each
+        letter colored by the wall it crosses."""
+        ball, w, coloring = self.graph.ball, self.realized.ball.words[chart_chamber], self.coloring
+        word = coloring.base if coloring else ()
+        for j, s in enumerate(w):
+            word = ball.append(word, s, coloring.color(w[:j], s) if coloring else 1)
+        return ball.index.get(word)
 
 
 def chart_for(graph, chart_radius=None, coloring=None):
     radius = chart_radius if chart_radius is not None else graph.ball.radius + 3
-    realized = realized_apartment(graph.spec, radius)
-    if isinstance(graph.ball, rb.BuildingBall) and coloring is None:
-        coloring = rb.ApartmentColoring(system=graph.ball.system, base=(), colors={})
-    return ApartmentChart(graph, realized, coloring)
+    return ApartmentChart(graph, realized_apartment(graph.spec, radius), coloring)
 
 
 @dataclass
@@ -329,26 +334,23 @@ class RaySpec:
         return self._chambers
 
     def chamber_sequence(self):
-        """Host chambers along the ray: the chart chambers mapped to the
-        host, truncated at the host ball boundary.  On a chart with no
-        colors and base () they are host steps: from chamber 0 along the
-        start's chart word, then one per crossing whose chart word grows
-        by one letter (else to_host).  This is exact, as alpha(w s) =
-        alpha(w) (s, 1) when l(w s) = l(w) + 1: reduced words differ only
-        by commutations, and (i, 1), (j, 1) commute when s_i, s_j do."""
+        """Host chambers along the ray, truncated at the host ball
+        boundary: the start chamber's (ApartmentChart.host_of), then one
+        host step per crossing.  An apartment is a coloring of its walls
+        (Davis 2008), so crossing edge s through a wall of color c
+        multiplies the host chamber by the letter (s, c) when the chart
+        word grows, and by its inverse (s, q_s + 1 - c) when it shrinks."""
         if self._seq is None:
             chambers, chart = self.chart_chambers(), self.chart
-            host, thin = chart.graph.ball, chart.realized.ball
-            steps = chart.coloring is None or not (chart.coloring.colors or chart.coloring.base)
-            seq, h = [], 0
+            host, thin, coloring = chart.graph.ball, chart.realized.ball, chart.coloring
+            seq, h = [], chart.host_of(chambers[0])
             for prev, c in zip([None] + chambers, chambers):
-                if steps and prev is None:
-                    for letter in thin.words[c]:
-                        h = None if h is None else host.step(h, letter)
-                elif steps and len(thin.words[c]) == len(thin.words[prev]) + 1:
-                    h = host.step(h, thin.rmul[prev].index(c) + 1)
-                else:
-                    h = chart.to_host(c)
+                if prev is not None:
+                    w, s = thin.words[prev], thin.rmul[prev].index(c) + 1
+                    color = coloring.color(w, s) if coloring else 1
+                    if len(thin.words[c]) < len(w):
+                        color = host.thickness[s - 1] + 1 - color
+                    h = host.step(h, s, color)
                 if h is None:
                     break
                 seq.append(h)
@@ -504,7 +506,6 @@ def _wall_frame(realized, label):
     of the base chamber: a base point on the wall and the unit tangent
     along it."""
     polygon = realized.polygon
-    k = polygon.spec.k
     va, vb = polygon.edge_endpoints(label)
     mid = gr._normalize_point(tuple(va[i] + vb[i] for i in range(3)))
     t = tuple(vb[i] - gr.bform(vb, mid) * mid[i] for i in range(3))
@@ -580,18 +581,17 @@ def detect_skeleton_experiment(G, line, samples=24, seed=0):
 
 def _panel_charts(G, chart, chart_chamber, label):
     """Charts covering every host chamber of the panel across `label` of
-    the given chart chamber (for a tessellation, just the one chart)."""
-    if not isinstance(G.ball, rb.BuildingBall):
-        return [(chart, None)]
+    the given chart chamber (for a thin host, just the one chart)."""
     ball = G.ball
-    base_host = chart.to_host(chart_chamber)
+    if ball.thickness[label - 1] == 1:
+        return [(chart, None)]
+    base_host = chart.host_of(chart_chamber)
     out = []
-    for color in range(1, G.spec.q[label - 1] + 1):
-        word = rb.append_letter(ball.words[base_host], (label, color), G.spec)
-        target = ball.index.get(word)
+    for color in range(1, ball.thickness[label - 1] + 1):
+        target = ball.step(base_host, label, color)
         if target is None:
             continue
-        coloring = rb.apartment_through(ball, ball.words[base_host], word)
+        coloring = rb.apartment_through(ball, ball.words[base_host], ball.words[target])
         # re-base the coloring so the chart origin still maps to the
         # chart's base chamber
         rebased = _rebase(G, chart, coloring, chart_chamber)
@@ -634,7 +634,7 @@ def _skeleton_quadruples(G, label, samples, rng):
         # side selector per ray: +1 / -1 across the wall; color choice for
         # thick hosts handled through panel charts below
         sides = [rng.choice((1, -1)) for _ in range(4)]
-        use_branch = isinstance(G.ball, rb.BuildingBall) and s % 3 == 2
+        use_branch = G.ball.thickness[label - 1] > 1 and s % 3 == 2
         normal = realized.polygon.normals[label - 1]
         rays = []
         for r_idx in range(4):
@@ -680,7 +680,7 @@ def _carrying_chamber(ray):
     cc = gr.locate(ray.chart.realized, ray.base)
     if cc is None:
         raise NoApartment("ray base not inside the carrying apartment")
-    return ray.chart.to_host(cc), cc
+    return ray.chart.host_of(cc)
 
 
 def _stays_off_wall(ray, refl):
@@ -705,7 +705,7 @@ def _side_probes(G, chart0, label, off, back, tilt, mid, along, normal):
     for sgn in (1, -1):
         base = _offset_point(mid, along, back, normal, sgn * off * 0.9)
         probes.append(RaySpec(chart=chart0, base=base, theta=theta_pos + sgn * tilt))
-    if isinstance(G.ball, rb.BuildingBall):
+    if G.ball.thickness[label - 1] > 1:
         cc = gr.locate(realized, probes[0].base)
         for chart_b, _color in _panel_charts(G, chart0, cc, label)[1:]:
             probes.append(RaySpec(chart=chart_b, base=probes[0].base, theta=probes[0].theta))
@@ -715,8 +715,8 @@ def _side_probes(G, chart0, label, off, back, tilt, mid, along, normal):
 def _side_record(G, refl, xi1, xi2, probes, strict=False):
     """Evaluate one side-detection configuration: carrying chambers,
     wall-disjointness hypothesis, and the sampled cross-ratio family."""
-    carrier1, _ = _carrying_chamber(xi1)
-    carrier2, _ = _carrying_chamber(xi2)
+    carrier1 = _carrying_chamber(xi1)
+    carrier2 = _carrying_chamber(xi2)
     if not (_stays_off_wall(xi1, refl) and _stays_off_wall(xi2, refl)):
         if strict:
             raise HypothesisFail("a ray meets the wall within the traced horizon")
@@ -784,7 +784,7 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
         }
 
     kinds = ["same", "opposite"]
-    if isinstance(G.ball, rb.BuildingBall):
+    if G.ball.thickness[label - 1] > 1:
         kinds.append("branch")
     records = []
     agree = 0

@@ -142,11 +142,7 @@ class BuildingBall(ChamberComplex):
         self.spec = spec
         self.radius = radius
         self.system = CoxeterSystem(spec)
-        self._letters = [
-            (i, c) for i in range(1, spec.k + 1) for c in range(1, spec.q[i - 1] + 1)
-        ]
-        # _unit[i - 1]: the position of the letter (i, 1) in _letters
-        self._unit = [self._letters.index((i, 1)) for i in range(1, spec.k + 1)]
+        self._set_letters(spec.q)
         self._build_chambers(chamber_cap)
 
     # -- chambers -------------------------------------------------------
@@ -174,22 +170,14 @@ class BuildingBall(ChamberComplex):
         self.words = [w for level in order for w in level]
         index = self.index = {w: i for i, w in enumerate(self.words)}
         self.sphere_counts = [len(level) for level in order]
-        # right multiplication tables: rmul[c][n] is the index of
-        # words[c] * _letters[n], or None outside the ball
         self.rmul = [
             [index.get(append_letter(w, letter, spec)) for letter in letters]
             for w in self.words
         ]
 
-    def neighbors(self, idx):
-        """Yield (neighbor index, label) over in-ball panel moves."""
-        for (i, _c), j in zip(self._letters, self.rmul[idx]):
-            if j is not None:
-                yield j, i
-
-    def step(self, c, label):
-        """The chamber words[c] * (label, 1), or None outside the ball."""
-        return self.rmul[c][self._unit[label - 1]]
+    def append(self, word, label, color=1):
+        """The normal form of word * (label, color)."""
+        return append_letter(word, (label, color), self.spec)
 
     def inverse(self, c):
         """The normal form of chamber c's inverse."""
@@ -200,13 +188,6 @@ class BuildingBall(ChamberComplex):
         return tuple(i for (i, _c) in _times(inv, self.words[b], self.spec))
 
     # -- cells ----------------------------------------------------------
-
-    def panel(self, c, label):
-        """All chambers of the panel of chamber c across edge `label`
-        (normal forms, whether or not they lie in the ball)."""
-        word, spec = self.words[c], self.spec
-        cols = range(spec.q[label - 1] + 1)
-        return [append_letter(word, (label, col), spec) for col in cols]
 
     def _vertex_size(self, j):
         a, b = j, j % self.spec.k + 1
@@ -250,13 +231,16 @@ class ApartmentColoring:
         """Chamber of the building at apartment position w (a Coxeter
         word; any representative works).  The wall crossed by letter j is
         looked up only when some wall is colored."""
-        system, colors = self.system, self.colors
-        word = system.canon(tuple(w))
+        word = self.system.canon(tuple(w))
         out = tuple(self.base)
         for j, i in enumerate(word):
-            color = colors.get(system.conjugate(word[:j], (i,)), 1) if colors else 1
-            out = append_letter(out, (i, color), system.spec)
+            out = append_letter(out, (i, self.color(word[:j], i)), self.system.spec)
         return out
+
+    def color(self, w, i):
+        """The color of the wall across edge i of apartment position w."""
+        colors = self.colors
+        return colors.get(self.system.conjugate(w, (i,)), 1) if colors else 1
 
     def position_of(self, chamber):
         """Apartment coordinate w with alpha(w) = chamber, or None if the

@@ -324,6 +324,18 @@ def test_gromov_matches_independent_dijkstra(bG):
 # segments
 # ---------------------------------------------------------------------------
 
+def _to_host(chart, chart_chamber):
+    """The oracle map of a chart chamber to its host chamber: the chart
+    word itself on a thin host, else mapped through alpha (the default
+    coloring when the chart has none)."""
+    w = chart.realized.ball.words[chart_chamber]
+    ball = chart.graph.ball
+    if not isinstance(ball, rb.BuildingBall):
+        return ball.index.get(w)
+    coloring = chart.coloring or rb.ApartmentColoring(system=ball.system, base=(), colors={})
+    return ball.index.get(coloring.alpha(w))
+
+
 def segment_chambers(chart, p, r):
     """Ordered host chambers whose interiors the geodesic segment pr
     meets, traced in the carrying apartment."""
@@ -334,12 +346,12 @@ def segment_chambers(chart, p, r):
         raise mt.NoApartment("segment endpoints not inside the carrying apartment")
     length = gr.hyp_distance(p, r)
     if length < 1e-12:
-        return [chart.to_host(cp)]
+        return [_to_host(chart, cp)]
     t = tuple(r[i] - gr.bform(r, p) * p[i] for i in range(3))
     s = math.sqrt(-gr.bform(t, t))
     tangent = tuple(x / s for x in t)
     crossings = gr.trace(realized, p, 0.0, length, tangent=tangent)
-    seq = [chart.to_host(cp)] + [chart.to_host(c) for _l, c, _t in crossings]
+    seq = [_to_host(chart, cp)] + [_to_host(chart, c) for _l, c, _t in crossings]
     if any(c is None for c in seq):
         raise mt.NoApartment("segment leaves the host ball")
     return seq
@@ -763,10 +775,10 @@ def test_stored_boundary_quadruples_are_pinned():
 
 
 def _alpha_sequence(ray):
-    """The host sequence with every chart chamber mapped by to_host."""
+    """The host sequence with every chart chamber mapped by _to_host."""
     seq = []
     for c in ray.chart_chambers():
-        h = ray.chart.to_host(c)
+        h = _to_host(ray.chart, c)
         if h is None:
             break
         seq.append(h)
@@ -833,9 +845,56 @@ def test_colored_charts_map_through_alpha(monkeypatch, pentagon_thick):
         ray = _ray(chart, ORIGIN, 0.1)
         calls.clear()
         seq = ray.chamber_sequence()
-        assert len(calls) == len(seq) + 1 and len(seq) > 2
+        # the ray path steps the host table: no alpha call
+        assert not calls and len(seq) > 2
         assert seq == _alpha_sequence(ray)
         assert G.ball.words[seq[1]] == ((1, color),)
+
+
+@pytest.mark.parametrize("q", [(2,) * 5, (3, 2, 4, 2, 3)])
+def test_panel_chart_rays_step_like_alpha(monkeypatch, q):
+    # seeded rays on the default chart and on every panel chart of a few
+    # chart chambers x labels 1-5; bases up to 3 inradii out, so many
+    # crossings shorten the chart word
+    G = mt.DualGraph(rb.ball(validate(5, (2,) * 5, q), 4))
+    chart0 = mt.chart_for(G)
+    realized = chart0.realized
+    rng = random.Random(len(G))
+
+    def seeded_base():
+        phi, d = rng.uniform(0, 2 * math.pi), rng.uniform(0, 3) * realized.polygon.inradius
+        return (math.cosh(d), math.sinh(d) * math.cos(phi), math.sinh(d) * math.sin(phi))
+
+    charts = [chart0]
+    for _ in range(6):
+        cc = gr.locate(realized, seeded_base())
+        for label in range(1, 6):
+            charts += [chart for chart, _color in mt._panel_charts(G, chart0, cc, label)]
+    rays = [
+        (chart, seeded_base(), rng.uniform(0, 2 * math.pi)) for chart in charts for _ in range(20)
+    ]
+    want = []
+    for chart, base, theta in rays:
+        try:
+            want.append(_alpha_sequence(_ray(chart, base, theta)))
+        except gr.NearVertex:
+            want.append(None)
+
+    def refuse(self, w):
+        raise AssertionError("alpha called on %s" % (w,))
+
+    monkeypatch.setattr(rb.ApartmentColoring, "alpha", refuse)
+    words = realized.ball.words
+    shortening = 0
+    for (chart, base, theta), seq in zip(rays, want):
+        if seq is None:
+            continue
+        ray = _ray(chart, base, theta)
+        assert ray.chamber_sequence() == seq
+        chambers = ray.chart_chambers()[:len(seq)]
+        shortening += sum(len(words[b]) < len(words[a]) for a, b in zip(chambers, chambers[1:]))
+    assert len(charts) > 40 and sum(s is not None for s in want) > 0.9 * len(rays)
+    assert shortening >= 300
 
 
 def test_wall_sums_normalize_each_inverse_once(monkeypatch, pentagon_thick):

@@ -115,6 +115,28 @@ def test_panel_matches_stripping(bb3):
             assert sorted(bb3.panel(c, label)) == _panel_by_stripping(w, label, spec)
 
 
+def test_ball_steps_read_the_letter_tables():
+    ball = rb.ball(validate(5, (2,) * 5, (3, 2, 4, 2, 3)), 3)
+    spec = ball.spec
+    assert ball.thickness == spec.q
+    back_steps = 0
+    for c, w in enumerate(ball.words):
+        for label in range(1, spec.k + 1):
+            q = ball.thickness[label - 1]
+            for color in range(1, q + 1):
+                d = ball.step(c, label, color)
+                assert d == ball.index.get(rb.append_letter(w, (label, color), spec))
+                if d is not None:
+                    assert ball.step(d, label, q + 1 - color) == c
+                    back_steps += 1
+    assert back_steps > len(ball)
+    thin = CoxeterBall(validate(5, (2,) * 5), 3)
+    assert thin.thickness == (1,) * 5
+    for c, row in enumerate(thin.rmul):
+        assert [thin.step(c, label) for label in range(1, 6)] == row
+        assert [thin.step(c, label, 1) for label in range(1, 6)] == row
+
+
 def test_normal_form_labels_are_shortlex(bb3):
     # apartment_through reads its walls off these label words directly
     for w in bb3.words:
