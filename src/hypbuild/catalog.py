@@ -239,14 +239,15 @@ def build_entry(T, S, expect_shape=None):
     if disk is None:
         return None
     binfo = disk["binfo"]
-    # convexity: every boundary vertex angle <= pi; corners where < pi
+    # convexity: every boundary vertex angle cnt*pi/m <= pi; corners
+    # where < pi
     corners = {}
     for key, (rec, cnt) in binfo.items():
-        frac = Fraction(cnt, rec["m"])  # angle as a fraction of pi
-        if frac > 1:
+        m = rec["m"]
+        if cnt > m:
             return None
-        if frac < 1:
-            corners[key] = (frac, rec["m"], cnt)
+        if cnt < m:
+            corners[key] = (Fraction(cnt, m), m, cnt)  # angle as a fraction of pi
     shape = {3: "triangle", 4: "quadrilateral"}.get(len(corners))
     if shape is None or (expect_shape is not None and shape != expect_shape):
         return None
@@ -300,24 +301,6 @@ def build_entry(T, S, expect_shape=None):
         key=T.canonical_form(S),
         rep=tuple(sorted(S)),
     )
-
-
-def entry_boundary_path(T, entry):
-    """SkeletonPath of an entry's representative disk boundary."""
-    disk = _disk_from_chambers(T, set(entry.rep))
-    vseq, eseq = _boundary_walk(T, disk)
-    edges = tuple(
-        (T.words[disk["boundary_edges"][e]], e[2]) for e in eseq
-    )
-    binfo = disk["binfo"]
-    corners = []
-    angles = []
-    for i, v in enumerate(vseq):
-        rec, cnt = binfo[v]
-        if Fraction(cnt, rec["m"]) < 1:
-            corners.append(i)
-            angles.append(RationalAngle(cnt, rec["m"]))
-    return SkeletonPath(edges=edges, corners=tuple(corners), angles=tuple(angles))
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +523,6 @@ def brute_force_catalog(spec, shape, n_max=8):
 # support disks on a CoxeterBall
 # ---------------------------------------------------------------------------
 
-def chamber_boundary_path(spec, word=()):
-    """The boundary circle of one chamber, as a SkeletonPath."""
-    return SkeletonPath(
-        edges=tuple((tuple(word), g) for g in range(1, spec.k + 1)),
-        corners=tuple(range(spec.k)),
-        angles=tuple(spec.angle_at_vertex(j) for j in range(1, spec.k + 1)),
-    )
-
-
 def support_disk(ball, circle):
     """Chambers of a CoxeterBall enclosed by an embedded circle in the
     1-skeleton, with special points.  Raises TouchesBoundary when the
@@ -610,7 +584,7 @@ def support_disk(ball, circle):
         m = info["m"]
         if cnt == 2 * m and info["interior"]:
             continue
-        if Fraction(cnt, m) > 1:
+        if cnt > m:  # disk angle cnt*pi/m above pi
             specials.append(key)
     return SupportDisk(
         chambers=frozenset(ball.words[c] for c in inside),

@@ -8,29 +8,25 @@ Every subcommand prints one JSON report to stdout:
 Exit codes: 0 when all verdicts pass, 1 when a verification fails,
 2 on usage or input-format errors, 3 when a computation ran out of
 horizon or numerical precision (an ArithmeticError such as
-NoStabilization or NoConvergence), hit a ResourceCap, or traced a valid
+NoStabilization or NoConvergence), asked for a distance the ball radius
+cannot certify (HorizonTooSmall), hit a ResourceCap, or traced a valid
 ray through a vertex or out of the ball (NearVertex, LeftBall); the
 report's witnesses name the error.
 All randomized experiments take --seed; identical config and seed give
 byte-identical reports.
+
+Each subcommand imports the library modules it runs inside its handler,
+so a process pays only for those: `chamber area` loads `chamber` alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
-from . import catalog as cat
-from . import genpoly as gp
-from . import geomrender as gr
-from . import metrics as mt
-from . import rabuilding as rb
 from .chamber import ChamberError, area, parse_chamber_string, validate
-from .coxeter import BallTooSmall, CoxeterBall, ResourceCap, export_complex, wall_type
-from .weights import WeightVector
 
 
 class UsageError(ValueError):
@@ -38,7 +34,7 @@ class UsageError(ValueError):
 
 
 def _jsonable(x):
-    if isinstance(x, WeightVector):
+    if hasattr(x, "to_json"):  # WeightVector
         return x.to_json()
     if hasattr(x, "fraction"):  # RationalAngle
         return str(x)
@@ -72,6 +68,10 @@ def _spec_of(args, thin=False):
 
 
 def _graph_of(args):
+    from . import metrics as mt
+    from . import rabuilding as rb
+    from .coxeter import CoxeterBall
+
     spec = _spec_of(args)
     if args.host == "apartment":
         ball = CoxeterBall(validate(spec.k, spec.m), args.radius)
@@ -113,6 +113,8 @@ def _cmd_chamber(args, config):
 
 
 def _cmd_coxeter(args, config):
+    from .coxeter import BallTooSmall, CoxeterBall, export_complex, wall_type
+
     spec = _spec_of(args, thin=True)
     ball = CoxeterBall(spec, args.radius)
     if args.sub == "ball":
@@ -142,6 +144,8 @@ def _cmd_coxeter(args, config):
 
 
 def _cmd_genpoly(args, config):
+    from . import genpoly as gp
+
     if args.sub == "verify":
         with open(args.infile) as fh:
             adj, color = gp.from_text(fh.read())
@@ -184,6 +188,8 @@ def _cmd_genpoly(args, config):
             results=[{"vertex": v, "opposites": gp.opposite_set(poly, v)}],
         )
     # chain between two apartments
+    import random
+
     rng = random.Random(args.seed)
     cycles = poly.apartments()
     a, b = rng.sample(cycles, 2) if len(cycles) > 1 else (cycles[0], cycles[0])
@@ -197,6 +203,9 @@ def _cmd_genpoly(args, config):
 
 
 def _cmd_building(args, config):
+    from . import rabuilding as rb
+    from .coxeter import export_complex
+
     spec = _spec_of(args)
     if args.sub == "verify":
         with open(args.infile) as fh:
@@ -221,6 +230,8 @@ def _cmd_building(args, config):
             results[0]["out"] = args.out
         return _emit("building ball", config, results=results)
     # retract: spot-check the retraction onto a random two-chamber apartment
+    import random
+
     rng = random.Random(args.seed)
     c1 = rng.randrange(len(b.words))
     A = rb.apartment_through(b, (), b.words[c1])
@@ -245,12 +256,16 @@ def _cmd_building(args, config):
 
 
 def _rays_from_thetas(G, thetas):
+    from . import metrics as mt
+
     chart = mt.chart_for(G)
     origin = (1.0, 0.0, 0.0)
     return [mt.RaySpec(chart=chart, base=origin, theta=th) for th in thetas]
 
 
 def _cmd_metrics(args, config):
+    from . import metrics as mt
+
     G = _graph_of(args)
     for name in ("c", "cp", "x", "y"):
         idx = getattr(args, name, None)
@@ -332,6 +347,8 @@ def _cmd_metrics(args, config):
 
 
 def _cmd_catalog(args, config):
+    from . import catalog as cat
+
     spec = _spec_of(args)
     if args.sub == "claims":
         rep = cat.claims_check(spec)
@@ -355,9 +372,12 @@ def _cmd_catalog(args, config):
     entries = sorted(enum(spec), key=lambda e: (e.n, e.code))
     results = [e.to_json() for e in entries]
     if args.svg_dir:
-        T = cat.tessellation(spec)
         import os
 
+        from . import geomrender as gr
+        from .coxeter import CoxeterBall
+
+        T = cat.tessellation(spec)
         os.makedirs(args.svg_dir, exist_ok=True)
         for i, e in enumerate(entries):
             radius = max(len(T.words[c]) for c in e.rep) + 2
@@ -373,6 +393,9 @@ def _cmd_catalog(args, config):
 
 
 def _cmd_render(args, config):
+    from . import geomrender as gr
+    from .coxeter import CoxeterBall
+
     spec = _spec_of(args, thin=True)
     real = gr.realize(CoxeterBall(spec, args.radius))
     svg = gr.render_svg(real)
@@ -494,6 +517,29 @@ def _build_parser():
     return p
 
 
+# the exit-3 classes that are not ArithmeticErrors, by defining module;
+# all but ResourceCap are ValueErrors, so main tests for these first
+_RAN_OUT = (
+    ("coxeter", "ResourceCap"),
+    ("geomrender", "NearVertex"),
+    ("geomrender", "LeftBall"),
+    ("metrics", "HorizonTooSmall"),
+)
+
+
+def _ran_out(exc):
+    """Whether `exc` ends a command with an exit-3 report. The classes are
+    read from the modules this process imported: a module that was never
+    imported cannot have raised."""
+    if isinstance(exc, ArithmeticError):
+        return True
+    for module, name in _RAN_OUT:
+        mod = sys.modules.get("%s.%s" % (__package__, module))
+        if mod is not None and isinstance(exc, getattr(mod, name)):
+            return True
+    return False
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -507,7 +553,12 @@ def main(argv=None):
     t0 = time.time()
     try:
         report = args.handler(args, config)
-    except (ArithmeticError, ResourceCap, gr.NearVertex, gr.LeftBall, mt.HorizonTooSmall) as exc:
+    except Exception as exc:
+        if not _ran_out(exc):
+            if isinstance(exc, (ChamberError, UsageError, FileNotFoundError, ValueError)):
+                sys.stderr.write("error: %s\n" % exc)
+                return 2
+            raise
         # the ray horizon, the ball radius, the numerics or a resource cap
         # ran out, or a valid ray met a vertex or left the ball: a report,
         # not a traceback
@@ -515,9 +566,6 @@ def main(argv=None):
         report = _emit(command, config,
                        witnesses=[{"error": type(exc).__name__, "message": str(exc)}])
         code = 3
-    except (ChamberError, UsageError, FileNotFoundError, ValueError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     else:
         code = 0 if all(v.get("pass", True) for v in report["verdicts"]) else 1
     if args.timings:

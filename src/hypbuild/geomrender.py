@@ -157,28 +157,6 @@ class NormalPolygon:
         k = self.spec.k
         return self.vertices[(label - 2) % k], self.vertices[label - 1]
 
-    def measured_angles(self):
-        k = self.spec.k
-        out = []
-        for j in range(k):
-            v = self.vertices[j]
-            a = self.vertices[(j - 1) % k]
-            b = self.vertices[(j + 1) % k]
-            out.append(_angle_at(v, a, b))
-        return out
-
-    def numeric_area(self):
-        k = self.spec.k
-        return (k - 2) * math.pi - sum(self.measured_angles())
-
-
-def _angle_at(v, a, b):
-    ta = tuple(a[i] - bform(a, v) * v[i] for i in range(3))
-    tb = tuple(b[i] - bform(b, v) * v[i] for i in range(3))
-    num = -bform(ta, tb)
-    den = math.sqrt(bform(ta, ta) * bform(tb, tb))
-    return math.acos(max(-1.0, min(1.0, num / den)))
-
 
 def normal_polygon(spec):
     """Construct the normal polygon by bisection on the inradius.

@@ -53,9 +53,36 @@ def test_defect_needs_three_corners():
 # support disks
 # ---------------------------------------------------------------------------
 
+def chamber_boundary_path(spec, word=()):
+    """The boundary circle of one chamber, as a SkeletonPath."""
+    return cat.SkeletonPath(
+        edges=tuple((tuple(word), g) for g in range(1, spec.k + 1)),
+        corners=tuple(range(spec.k)),
+        angles=tuple(spec.angle_at_vertex(j) for j in range(1, spec.k + 1)),
+    )
+
+
+def entry_boundary_path(T, entry):
+    """SkeletonPath of an entry's representative disk boundary."""
+    disk = cat._disk_from_chambers(T, set(entry.rep))
+    vseq, eseq = cat._boundary_walk(T, disk)
+    edges = tuple(
+        (T.words[disk["boundary_edges"][e]], e[2]) for e in eseq
+    )
+    binfo = disk["binfo"]
+    corners = []
+    angles = []
+    for i, v in enumerate(vseq):
+        rec, cnt = binfo[v]
+        if cnt < rec["m"]:
+            corners.append(i)
+            angles.append(RationalAngle(cnt, rec["m"]))
+    return cat.SkeletonPath(edges=edges, corners=tuple(corners), angles=tuple(angles))
+
+
 def test_support_disk_single_chamber(spec238):
     ball = CoxeterBall(spec238, 4)
-    d = cat.support_disk(ball, cat.chamber_boundary_path(spec238))
+    d = cat.support_disk(ball, chamber_boundary_path(spec238))
     assert d.n == 1
     assert d.chambers == frozenset({()})
     assert d.special_points == ()
@@ -88,7 +115,7 @@ def test_support_disk_touches_boundary(spec238):
     ball = CoxeterBall(spec238, 3)
     far = max(ball.words, key=len)
     with pytest.raises(cat.TouchesBoundary):
-        cat.support_disk(ball, cat.chamber_boundary_path(spec238, far))
+        cat.support_disk(ball, chamber_boundary_path(spec238, far))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +306,7 @@ def test_right_triangle_disks_have_no_special_points(m):
     ball = CoxeterBall(spec, 8)
     checked = 0
     for e in cat.enumerate_triangles(spec):
-        path = cat.entry_boundary_path(T, e)
+        path = entry_boundary_path(T, e)
         if any(len(w) > 6 for w, _g in path.edges):
             continue  # representative too deep for this ball
         disk = cat.support_disk(ball, path)
@@ -292,7 +319,7 @@ def test_right_triangle_disks_have_no_special_points(m):
 def test_entry_boundary_path_chamber(spec238, tris238):
     T = cat.tessellation(spec238)
     e1 = next(e for e in tris238 if e.n == 1)
-    path = cat.entry_boundary_path(T, e1)
+    path = entry_boundary_path(T, e1)
     assert len(path.edges) == 3
     assert len(path.corners) == 3
     assert sorted(a.fraction for a in path.angles) == [

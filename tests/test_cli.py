@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from hypbuild import catalog as cat, cli
-from hypbuild.chamber import validate
+from hypbuild import catalog as cat, cli, coxeter, geomrender as gr, metrics as mt
+from hypbuild import rabuilding as rb
+from hypbuild.chamber import ChamberError, validate
 
 
 def run(capsys, *argv):
@@ -177,7 +178,7 @@ def test_coxeter_walls_reports_only_ball_too_small_as_unclassified(capsys, monke
     def broken(ball, wall):
         raise KeyError("not a horizon limit")
 
-    monkeypatch.setattr(cli, "wall_type", broken)
+    monkeypatch.setattr(coxeter, "wall_type", broken)
     with pytest.raises(KeyError):
         cli.main(["coxeter", "walls", "--chamber", "3;2,3,8", "--radius", "4"])
     assert '"component": null' not in capsys.readouterr().out
@@ -244,9 +245,9 @@ def test_genpoly_construct_and_verify_roundtrip(capsys, tmp_path):
 
 
 def test_resource_cap_is_a_report_with_exit_3(capsys, monkeypatch):
-    ball = cli.rb.ball
+    ball = rb.ball
     monkeypatch.setattr(
-        cli.rb, "ball", lambda spec, radius: ball(spec, radius, chamber_cap=20)
+        rb, "ball", lambda spec, radius: ball(spec, radius, chamber_cap=20)
     )
     code, rep = run(
         capsys, "building", "ball", "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
@@ -260,9 +261,9 @@ def test_resource_cap_is_a_report_with_exit_3(capsys, monkeypatch):
 
 
 def test_coxeter_ball_resource_cap_is_a_report_with_exit_3(capsys, monkeypatch):
-    ball = cli.CoxeterBall
+    ball = coxeter.CoxeterBall
     monkeypatch.setattr(
-        cli, "CoxeterBall", lambda spec, radius: ball(spec, radius, chamber_cap=20)
+        coxeter, "CoxeterBall", lambda spec, radius: ball(spec, radius, chamber_cap=20)
     )
     code, rep = run(capsys, "coxeter", "ball", "--chamber", "3;2,3,8", "--radius", "6")
     assert code == 3
@@ -288,6 +289,91 @@ def test_ray_through_a_vertex_is_a_report_with_exit_3(capsys, argv):
     assert rep["witnesses"] == [
         {"error": "NearVertex", "message": "crossing at t=0.190007 too close to a vertex"}
     ]
+
+
+RAN_OUT = [
+    mt.NoStabilization("boom"), gr.NoConvergence("boom"), coxeter.ResourceCap("boom"),
+    gr.NearVertex("boom"), gr.LeftBall("boom"), mt.HorizonTooSmall("boom"),
+]
+BAD_INPUT = [
+    ChamberError([("FormatError", "boom")]), cli.UsageError("boom"),
+    FileNotFoundError("boom"), ValueError("boom"),
+]
+
+
+def _raiser(exc):
+    def handler(args, config):
+        raise exc
+
+    return handler
+
+
+@pytest.mark.parametrize("exc", RAN_OUT, ids=lambda e: type(e).__name__)
+def test_ran_out_errors_exit_3_with_a_report(capsys, monkeypatch, exc):
+    monkeypatch.setattr(cli, "_cmd_chamber", _raiser(exc))
+    code = cli.main(["chamber", "area", "--chamber", "3;2,3,8"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["command"] == "chamber area"
+    assert rep["witnesses"] == [{"error": type(exc).__name__, "message": "boom"}]
+    assert err == ""
+
+
+@pytest.mark.parametrize("exc", BAD_INPUT, ids=lambda e: type(e).__name__)
+def test_bad_input_errors_exit_2_with_one_stderr_line(capsys, monkeypatch, exc):
+    monkeypatch.setattr(cli, "_cmd_chamber", _raiser(exc))
+    code = cli.main(["chamber", "area", "--chamber", "3;2,3,8"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.endswith("boom\n") and err.count("\n") == 1
+
+
+def test_other_errors_propagate(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_chamber", _raiser(KeyError("boom")))
+    with pytest.raises(KeyError):
+        cli.main(["chamber", "area", "--chamber", "3;2,3,8"])
+    assert capsys.readouterr().out == ""
+
+
+# one command per subcommand family, and the hypbuild modules (besides
+# the package) a fresh process has loaded once it ran
+IMPORT_PINS = [
+    ([], {"chamber", "cli"}),
+    (["chamber", "area", "--chamber", "3;2,3,8"], {"chamber", "cli"}),
+    (["coxeter", "ball", "--chamber", "3;2,3,8", "--radius", "1"],
+     {"chamber", "cli", "coxeter", "weights"}),
+    (["genpoly", "construct", "--kind", "quadrangle", "--params", "2"],
+     {"chamber", "cli", "genpoly"}),
+    (["building", "ball", "--chamber", "5;2,2,2,2,2;2,2,2,2,2", "--radius", "1"],
+     {"chamber", "cli", "coxeter", "rabuilding", "weights"}),
+    (["metrics", "dist", "--chamber", "3;2,3,8", "--radius", "1"],
+     {"chamber", "cli", "coxeter", "geomrender", "metrics", "rabuilding", "weights"}),
+    (["catalog", "claims", "--chamber", "3;2,6,6"],
+     {"catalog", "chamber", "cli", "coxeter", "weights"}),
+    (["render", "--chamber", "3;2,3,8", "--radius", "1", "--out", "{tmp}/ball.svg"],
+     {"chamber", "cli", "coxeter", "geomrender", "weights"}),
+]
+
+
+@pytest.mark.parametrize("argv,loaded", IMPORT_PINS,
+                         ids=[argv[0] if argv else "import" for argv, _ in IMPORT_PINS])
+def test_each_command_imports_only_its_modules(tmp_path, argv, loaded):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = (
+        "import json, sys\n"
+        "from hypbuild import cli\n"
+        "code = cli.main(%r) if %r else 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('hypbuild.'))\n"
+        "sys.stderr.write(json.dumps(loaded))\n"
+        "sys.exit(code)\n" % (argv, bool(argv))
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stderr)) == {"hypbuild." + m for m in loaded}
 
 
 def test_building_retract_passes(capsys):
