@@ -34,5 +34,5 @@ for k, m in [(3, (2, 3, 8)), (3, (3, 3, 4)), (5, (2, 2, 2, 2, 2))]:
 
 print("\n== JSON export of the minimum-defect quadrilateral ==")
 quads = cat.enumerate_quads(spec)
-qmin = min(quads, key=lambda e: e.defect.fraction)
+qmin = min(quads, key=lambda e: e.defect)
 print(json.dumps(qmin.to_json(), indent=2))

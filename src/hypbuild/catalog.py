@@ -22,9 +22,10 @@ Two independent engines are provided and cross-checked:
 * a brute-force enumerator of edge-connected chamber sets filtered to
   convex disks (every boundary vertex angle <= pi).
 
-The search runs on integers only: corner angles are counted in units
-of pi/L with L = lcm(m), so the cap and the closing test d = n * A0 are
-an integer quotient and a divisibility test.
+The search runs on integers only: corner angles and A0 are counted in
+units of pi/L with L = lcm(m), so the cap and the closing test
+d = n * A0 are an integer quotient and a divisibility test, and each
+entry's Gauss-Bonnet check is an integer equality.
 
 The tessellation is grown lazily by coxeter.Tessellation, the
 root-point step that thin CoxeterBalls are built with too.  A chamber w
@@ -47,15 +48,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 
 from .chamber import RationalAngle, area
 from .coxeter import ResourceCap, Tessellation
-
-
-class TouchesBoundary(ValueError):
-    pass
 
 
 class NotADisk(ValueError):
@@ -63,6 +60,14 @@ class NotADisk(ValueError):
 
 
 _TESS_CACHE = {}
+
+
+@cache
+def _angle_units(spec):
+    """(L, A0): L = lcm(m), the unit of angle is pi/L, and A0 is the
+    chamber's area (k - 2 - sum 1/m) * pi in that unit, an integer."""
+    L = lcm(*spec.m)
+    return L, (spec.k - 2) * L - sum(L // m for m in spec.m)
 
 
 def tessellation(spec):
@@ -73,26 +78,8 @@ def tessellation(spec):
 
 
 # ---------------------------------------------------------------------------
-# paths, disks, entries
+# entries
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SkeletonPath:
-    """A closed edge path in the 1-skeleton: edges as (chamber word,
-    label) pairs in cyclic order, with corner marks and corner angles."""
-
-    edges: tuple
-    corners: tuple = ()
-    angles: tuple = ()
-
-
-@dataclass(frozen=True)
-class SupportDisk:
-    chambers: frozenset
-    boundary: SkeletonPath
-    n: int
-    special_points: tuple
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -136,16 +123,6 @@ class CatalogEntry:
                 for c in self.code
             ],
         }
-
-
-def defect(angles):
-    """d(P) = (l-2)*pi - sum(angles), exact; l = len(angles) >= 3."""
-    if len(angles) < 3:
-        raise ValueError("need at least 3 corners")
-    total = RationalAngle(len(angles) - 2)
-    for a in angles:
-        total = total - a
-    return total
 
 
 def _disk_from_chambers(T, S):
@@ -231,25 +208,27 @@ def _boundary_walk(T, disk):
     return vseq, eseq
 
 
-def build_entry(T, S, expect_shape=None):
+def build_entry(T, S, shape):
     """Construct the catalog entry for a chamber set bounding a convex
-    disk whose boundary is a triangle or quadrilateral; returns None if
-    the set does not qualify."""
+    disk whose boundary is a `shape` ("triangle" or "quadrilateral");
+    returns None if the set does not qualify.  Angles are counted in
+    units of pi/L, as in the search, and Gauss-Bonnet d = n * A0 is
+    checked on every entry."""
     disk = _disk_from_chambers(T, S)
     if disk is None:
         return None
     binfo = disk["binfo"]
     # convexity: every boundary vertex angle cnt*pi/m <= pi; corners
-    # where < pi
+    # where < pi, kept as the angle cnt/m in lowest terms
     corners = {}
     for key, (rec, cnt) in binfo.items():
         m = rec["m"]
         if cnt > m:
             return None
         if cnt < m:
-            corners[key] = (Fraction(cnt, m), m, cnt)  # angle as a fraction of pi
-    shape = {3: "triangle", 4: "quadrilateral"}.get(len(corners))
-    if shape is None or (expect_shape is not None and shape != expect_shape):
+            g = gcd(cnt, m)
+            corners[key] = (cnt // g, m // g, m, cnt)
+    if len(corners) != {"triangle": 3, "quadrilateral": 4}[shape]:
         return None
     vseq, eseq = _boundary_walk(T, disk)
     corner_pos = [i for i, v in enumerate(vseq) if v in corners]
@@ -267,12 +246,9 @@ def build_entry(T, S, expect_shape=None):
             labels = tuple(
                 sorted({es[(i + t) % len(es)][2] for t in range(span)})
             )
-            frac, m, cnt = corners[vs[i]]
+            num, den, m, cnt = corners[vs[i]]
             # even = the angle is an even multiple of pi/m(v)
-            recs.append(
-                (frac.numerator, frac.denominator, m, cnt % 2 == 0,
-                 span, labels)
-            )
+            recs.append((num, den, m, cnt % 2 == 0, span, labels))
         return recs
 
     rec_f = one_direction(vseq, eseq)
@@ -285,18 +261,21 @@ def build_entry(T, S, expect_shape=None):
             cand = tuple(recs[s:] + recs[:s])
             if best is None or cand < best:
                 best = cand
-    angles = tuple(RationalAngle(c[0], c[1]) for c in best)
-    d = defect(angles)
-    a0 = area(T.spec)
+    # d = (l - 2) * pi - sum of the corner angles, in units of pi/L
+    L, a0 = _angle_units(T.spec)
+    d = (len(corners) - 2) * L - sum(
+        cnt * (L // m) for _, _, m, cnt in corners.values()
+    )
     n = len(S)
-    if d.fraction != n * a0.fraction:
+    if d != n * a0:
         raise ArithmeticError(
-            "Gauss-Bonnet defect mismatch: d=%s, n*A0=%s" % (d, n * a0)
+            "Gauss-Bonnet defect mismatch: d=%s, n*A0=%s"
+            % (RationalAngle(d, L), RationalAngle(n * a0, L))
         )
     return CatalogEntry(
         shape=shape,
         n=n,
-        defect=d,
+        defect=RationalAngle(d, L),
         code=best,
         key=T.canonical_form(S),
         rep=tuple(sorted(S)),
@@ -332,19 +311,17 @@ def _side_search(spec, n_corners, step_cap):
     pruned by the exact chamber-count cap n <= d/A0.
 
     Angles are integers in units of pi/L, L = lcm(m), so a turn by t at
-    a vertex of gonality m is t * L/m units; with A0 = a0n/a0d (times
-    pi) the cap n <= d/A0 is the integer quotient d * a0d // (L * a0n)."""
-    a0 = area(spec).fraction
-    L = lcm(*spec.m)
+    a vertex of gonality m is t * L/m units; the area A0 is an integer
+    in the same units, so the cap n <= d/A0 is the quotient d // A0."""
+    L, a0 = _angle_units(spec)
     full = (n_corners - 2) * L  # the angle sum (l - 2) * pi, in units
     min_angle = L // max(spec.m)
-    num, den = a0.denominator, L * a0.numerator  # n = d * num / den
 
     def n_cap_for(angle_sum, corners_left):
         d = full - angle_sum - corners_left * min_angle
         if d <= 0:
             return -1
-        return d * num // den
+        return d // a0
 
     if n_cap_for(0, n_corners) < 1:
         return {}
@@ -382,7 +359,7 @@ def _side_search(spec, n_corners, step_cap):
         d = full - angle_sum - t0 * (L // m)
         if d <= 0:
             return
-        n_target, rest = divmod(d * num, den)
+        n_target, rest = divmod(d, a0)
         if rest:
             return
         inter = set(interior)
@@ -393,7 +370,7 @@ def _side_search(spec, n_corners, step_cap):
         S = _flood_fill(T, inter, bpairs, n_target)
         if S is None or len(S) != n_target:
             return
-        entry = build_entry(T, S, expect_shape=shape)
+        entry = build_entry(T, S, shape)
         if entry is not None and entry.key not in results:
             results[entry.key] = entry
 
@@ -498,7 +475,7 @@ def brute_force_catalog(spec, shape, n_max=8):
     results = {}
 
     def consider(S):
-        entry = build_entry(T, set(S), expect_shape=shape)
+        entry = build_entry(T, set(S), shape)
         if entry is not None and entry.key not in results:
             results[entry.key] = entry
 
@@ -517,81 +494,6 @@ def brute_force_catalog(spec, shape, n_max=8):
     first = tuple(T.step(0, g) for g in range(1, T.k + 1))
     extend((0,), first, {0})
     return set(results.values())
-
-
-# ---------------------------------------------------------------------------
-# support disks on a CoxeterBall
-# ---------------------------------------------------------------------------
-
-def support_disk(ball, circle):
-    """Chambers of a CoxeterBall enclosed by an embedded circle in the
-    1-skeleton, with special points.  Raises TouchesBoundary when the
-    enclosed region cannot be separated from the ball boundary."""
-    sysc = ball.system
-    bkeys = set()
-    for word, g in circle.edges:
-        w = sysc.canon(tuple(word))
-        other = sysc.canon(w + (g,))
-        bkeys.add((min(w, other), g))
-    missing = bkeys - set(ball.edges.keys())
-    if missing:
-        raise TouchesBoundary("circle edge %s outside the ball" % (min(missing),))
-    # flood fill both sides of the first edge; the interior is the side
-    # that stays finite without touching the ball boundary
-    first = next(iter(bkeys))
-    _label, cs = ball.edges[first]
-    if len(cs) < 2:
-        raise TouchesBoundary("circle runs along the ball boundary")
-
-    def fill(seed):
-        S = {seed}
-        stack = [seed]
-        ok = True
-        while stack:
-            c = stack.pop()
-            if not ball.is_inner[c]:
-                ok = False
-            for g in range(1, ball.spec.k + 1):
-                if ball.edge_of[c][g - 1] in bkeys:
-                    continue
-                d = ball.rmul[c][g - 1]
-                if d is None:
-                    ok = False
-                    continue
-                if d not in S:
-                    S.add(d)
-                    stack.append(d)
-        return S, ok
-
-    inside = None
-    for seed in cs:
-        S, ok = fill(seed)
-        if ok:
-            inside = S
-            break
-    if inside is None:
-        raise TouchesBoundary("neither side of the circle is interior")
-    # special points: boundary vertex with disk angle > pi, or interior
-    # vertex with an open link
-    specials = []
-    vkeys = set()
-    for c in inside:
-        for j in range(1, ball.spec.k + 1):
-            vkeys.add(ball.vertex_of[c][j - 1])
-    for key in sorted(vkeys):
-        info = ball.vertices[key]
-        cnt = sum(1 for ch in info["chambers"] if ch in inside)
-        m = info["m"]
-        if cnt == 2 * m and info["interior"]:
-            continue
-        if cnt > m:  # disk angle cnt*pi/m above pi
-            specials.append(key)
-    return SupportDisk(
-        chambers=frozenset(ball.words[c] for c in inside),
-        boundary=circle,
-        n=len(inside),
-        special_points=tuple(specials),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,21 +562,18 @@ def claims_check(spec):
         [e.to_json() for e in three_even],
     )
     # minimal triangle defect pi/24
-    d_min_tris = [e for e in triangles
-                  if e.defect.fraction == Fraction(1, 24)]
+    d_min_tris = [e for e in triangles if e.defect == RationalAngle(1, 24)]
     ok_min = all(is238 and e.n == 1 for e in d_min_tris)
     claim("triangle_defect_min", ok_min, [e.to_json() for e in d_min_tris])
     # quadrilateral defect >= 2*pi/24, equality only for the 2-chamber
     # gluing over the (2,3,8) chamber
-    bad = [e for e in quads if e.defect.fraction < Fraction(2, 24)]
-    at_min = [e for e in quads if e.defect.fraction == Fraction(2, 24)]
+    bad = [e for e in quads if e.defect < RationalAngle(2, 24)]
+    at_min = [e for e in quads if e.defect == RationalAngle(2, 24)]
     ok_q = not bad and all(is238 and e.n == 2 for e in at_min)
     claim("quad_defect_min", ok_q,
           [e.to_json() for e in bad + at_min])
     # exact area law on every entry
-    gb = all(
-        e.defect.fraction == e.n * a0.fraction for e in triangles + quads
-    )
+    gb = all(e.defect == e.n * a0 for e in triangles + quads)
     claim("area_law", gb, [])
     report["summary"] = {
         "triangles": len(triangles),

@@ -12,87 +12,35 @@ multiples of pi and floats are deliberately absent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 ALLOWED_M = (2, 3, 4, 6, 8)
 
 
-@dataclass(frozen=True)
-class RationalAngle:
-    """An exact angle (numerator/denominator) * pi, in lowest terms."""
+class RationalAngle(Fraction):
+    """An exact angle (numerator/denominator) * pi: a Fraction, the
+    coefficient of pi, that prints in terms of pi.  Arithmetic on it
+    returns plain Fractions."""
 
-    numerator: int
-    denominator: int = 1
-
-    def __post_init__(self):
-        if self.denominator == 0:
-            raise ZeroDivisionError("angle denominator is zero")
-        num, den = self.numerator, self.denominator
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(abs(num), den)
-        if g > 1:
-            num, den = num // g, den // g
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @staticmethod
-    def of(fraction):
-        fraction = Fraction(fraction)
-        return RationalAngle(fraction.numerator, fraction.denominator)
-
-    @property
-    def fraction(self):
-        """The coefficient of pi as an exact Fraction."""
-        return Fraction(self.numerator, self.denominator)
-
-    def __add__(self, other):
-        return RationalAngle.of(self.fraction + other.fraction)
-
-    def __sub__(self, other):
-        return RationalAngle.of(self.fraction - other.fraction)
-
-    def __neg__(self):
-        return RationalAngle(-self.numerator, self.denominator)
-
-    def __mul__(self, k):
-        return RationalAngle.of(self.fraction * k)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        return self.fraction < other.fraction
-
-    def __le__(self, other):
-        return self.fraction <= other.fraction
-
-    def __gt__(self, other):
-        return self.fraction > other.fraction
-
-    def __ge__(self, other):
-        return self.fraction >= other.fraction
+    __slots__ = ()
 
     def radians(self):
         """Float value; for rendering only, never for comparisons."""
-        import math
-
         return math.pi * self.numerator / self.denominator
 
     def __repr__(self):
-        if self.numerator == 0:
-            return "0"
         num, den = self.numerator, self.denominator
+        if num == 0:
+            return "0"
         if den == 1:
             return "pi" if num == 1 else "%d*pi" % num
         if num == 1:
             return "pi/%d" % den
         return "%d*pi/%d" % (num, den)
 
-
-PI = RationalAngle(1)
-TWO_PI = RationalAngle(2)
+    __str__ = __repr__
 
 
 class ChamberError(ValueError):
@@ -123,10 +71,6 @@ class ChamberSpec:
 
     def m_at_vertex(self, j):
         return self.m[j - 1]
-
-    def q_of_edge(self, i):
-        """Thickness parameter of edge label i (1-based)."""
-        return self.q[i - 1]
 
     def is_thick(self):
         return all(qi >= 2 for qi in self.q)
@@ -181,8 +125,7 @@ def validate(k, m, q=None):
 
 def area(spec):
     """Exact hyperbolic area A0 = (k - 2 - sum 1/m[i]) * pi."""
-    total = Fraction(spec.k - 2) - sum(Fraction(1, mi) for mi in spec.m)
-    return RationalAngle.of(total)
+    return RationalAngle(spec.k - 2 - sum(Fraction(1, mi) for mi in spec.m))
 
 
 def parse_chamber_string(text):

@@ -36,8 +36,6 @@ class UsageError(ValueError):
 def _jsonable(x):
     if hasattr(x, "to_json"):  # WeightVector
         return x.to_json()
-    if hasattr(x, "fraction"):  # RationalAngle
-        return str(x)
     if isinstance(x, (set, frozenset)):
         return sorted(_jsonable(v) for v in x)
     if isinstance(x, dict):

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .weights import SHARED_CAP, WeightVector
+from .weights import SHARED_CAP
 
 
 class BallTooSmall(ValueError):
@@ -367,9 +367,7 @@ class Wall:
     """A wall: the fixed locus of a reflection, anchored at one edge."""
 
     reflection: tuple
-    anchor_chamber: tuple
     anchor_label: int
-    weight: WeightVector
 
 
 def boundary_components(spec):
@@ -594,13 +592,7 @@ class CoxeterBall(ChamberComplex):
 
     def wall_of_edge(self, chamber_idx, label):
         """The Wall through edge `label` of the given chamber."""
-        w = self.words[chamber_idx]
-        return Wall(
-            reflection=self.system.conjugate(w, (label,)),
-            anchor_chamber=w,
-            anchor_label=label,
-            weight=WeightVector.log_int(self.spec.q_of_edge(label)),
-        )
+        return Wall(self.system.conjugate(self.words[chamber_idx], (label,)), label)
 
     @cached_property
     def _edges_by_wall(self):

@@ -72,12 +72,13 @@ class GenPolygon:
             self._cycles_by_edge = {}
             for idx, cyc in enumerate(self._cycles):
                 for e in _cycle_edges(cyc):
-                    self._cycles_by_edge.setdefault(e, []).append(idx)
+                    self._cycles_by_edge.setdefault(e, set()).add(idx)
         return self._cycles
 
     def cycles_through_edge(self, e):
+        """The set of indices of the 2m-circuits through edge e."""
         self.apartments()
-        return self._cycles_by_edge.get(tuple(sorted(e)), [])
+        return self._cycles_by_edge.get(tuple(sorted(e)), set())
 
 
 def _cycle_edges(cycle):
@@ -186,10 +187,7 @@ def verify(adj, color, m, require_thick=False):
 
     cycles = poly.apartments()
     # axiom (1): every two edges on a common 2m-circuit
-    edge_cycles = {}
-    for idx, cyc in enumerate(cycles):
-        for e in _cycle_edges(cyc):
-            edge_cycles.setdefault(e, set()).add(idx)
+    edge_cycles = poly._cycles_by_edge
     all_edges = [tuple(sorted(e)) for e in poly.edges()]
     for e in all_edges:
         if e not in edge_cycles:
@@ -421,7 +419,7 @@ def _chain_rec(poly, a, b, depth):
         ea = min(_cycle_edges(a))
         cycles = poly.apartments()
         for eb in sorted(_cycle_edges(b)):
-            ids = set(poly.cycles_through_edge(ea)) & set(poly.cycles_through_edge(eb))
+            ids = poly.cycles_through_edge(ea) & poly.cycles_through_edge(eb)
             ids = [i for i in ids if cycles[i] not in (a, b)]
             if ids:
                 mid = cycles[min(ids)]
@@ -437,9 +435,7 @@ def _chain_rec(poly, a, b, depth):
     e1 = _edge_at(a, v1, shared)
     e2 = _edge_at(b, v2, shared)
     cycles = poly.apartments()
-    ids = sorted(
-        set(poly.cycles_through_edge(e1)) & set(poly.cycles_through_edge(e2))
-    )
+    ids = sorted(poly.cycles_through_edge(e1) & poly.cycles_through_edge(e2))
     best = None
     for i in ids:
         mid = cycles[i]

@@ -245,11 +245,12 @@ class RealizedBall:
     def chamber_barycenter(self, c):
         return _normalize_point(mat_apply(self.matrices[c], self.polygon.barycenter))
 
-    def dedup_count(self, digits=9):
+    def dedup_count(self):
+        """Number of distinct chamber barycenters, rounded to 9 digits."""
         seen = set()
         for c in range(len(self.matrices)):
             b = self.chamber_barycenter(c)
-            seen.add(tuple(round(x, digits) for x in b))
+            seen.add(tuple(round(x, 9) for x in b))
         return len(seen)
 
 
@@ -467,18 +468,21 @@ def _chamber_path(points):
     return " ".join(parts)
 
 
-def render_svg(realized, overlays=None, size=800):
+SVG_SIZE = 800  # width and height of a rendered SVG, in pixels
+
+
+def render_svg(realized, overlays=None):
     """Render the realized ball as an SVG document (Poincare disk,
     incenter of the base chamber at the origin).  `overlays` may contain
     `walls` (lists of hyperboloid segment endpoints), `rays` (lists of
     hyperboloid points) and `disks` (lists of chamber indices)."""
     overlays = overlays or {}
-    half = size / 2.0
+    half = SVG_SIZE / 2.0
     scale = half * 0.95
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (size, size, size, size),
+        'viewBox="0 0 %d %d">' % ((SVG_SIZE,) * 4),
         '<circle cx="%s" cy="%s" r="%s" fill="#ffffff" stroke="#888888"/>'
         % (_fmt(half), _fmt(half), _fmt(scale)),
         '<g transform="translate(%s,%s) scale(%s,%s)">'

@@ -466,11 +466,11 @@ def cross_ratio(G, xi1, xi2, eta1, eta2, C):
 # growth
 # ---------------------------------------------------------------------------
 
-def growth(G, n, base=0):
+def growth(G, n):
     """a(n): number of chambers within weighted distance n of the base
-    chamber.  Raises HorizonTooSmall unless every boundary chamber of the
+    chamber 0.  Raises HorizonTooSmall unless every boundary chamber of the
     ball is already farther than n (so the count is certified)."""
-    within = [c for c, d in G.dist_from(base).items() if d.value() <= n + 1e-9]
+    within = [c for c, d in G.dist_from(0).items() if d.value() <= n + 1e-9]
     if not all(G.ball.is_inner[c] for c in within):
         raise HorizonTooSmall("ball radius too small: boundary chambers within distance %s" % n)
     return len(within)
@@ -483,10 +483,10 @@ class TauEstimate:
     note: str
 
 
-def tau_estimate(G, nmax, base=0):
+def tau_estimate(G, nmax):
     out = []
     for n in range(1, nmax + 1):
-        a = growth(G, n, base)
+        a = growth(G, n)
         val = math.log(a) / n if a > 0 else 0.0
         out.append((n, Fraction(val).limit_denominator(10**9)))
     return TauEstimate(

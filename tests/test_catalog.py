@@ -1,10 +1,11 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from hypbuild import catalog as cat
-from hypbuild.chamber import PI, RationalAngle, area, validate
+from hypbuild.chamber import RationalAngle, area, validate
 from hypbuild.coxeter import CoxeterBall, CoxeterSystem, ResourceCap
 
 
@@ -24,38 +25,49 @@ def quads238(spec238):
 
 
 # ---------------------------------------------------------------------------
-# defect
+# Gauss-Bonnet guard
 # ---------------------------------------------------------------------------
 
-def test_defect_chamber_boundary_238(spec238):
-    angles = [spec238.angle_at_vertex(j) for j in (1, 2, 3)]
-    assert cat.defect(angles) == RationalAngle(1, 24)
-
-
-def test_defect_right_square_is_zero():
-    right = RationalAngle(1, 2)
-    assert cat.defect([right] * 4) == RationalAngle(0)
-
-
-def test_defect_three_quarter_turns_is_six_chambers(spec238):
-    q = RationalAngle(1, 4)
-    d = cat.defect([q, q, q])
-    assert d == RationalAngle(1, 4)
-    assert d.fraction == 6 * area(spec238).fraction
-
-
-def test_defect_needs_three_corners():
-    with pytest.raises(ValueError):
-        cat.defect([RationalAngle(1, 2), RationalAngle(1, 2)])
+def test_build_entry_raises_when_defect_is_not_n_area(spec238, monkeypatch):
+    # the single chamber is a triangle with d = pi/24 = A0; with A0 off
+    # by one unit of pi/L the identity d = n * A0 fails on this entry
+    T = cat.tessellation(spec238)
+    L, a0 = cat._angle_units(spec238)
+    assert cat.build_entry(T, {0}, "triangle").defect == RationalAngle(a0, L)
+    monkeypatch.setattr(cat, "_angle_units", lambda spec: (L, a0 + 1))
+    with pytest.raises(ArithmeticError, match="d=pi/24, n\\*A0=pi/12"):
+        cat.build_entry(T, {0}, "triangle")
 
 
 # ---------------------------------------------------------------------------
-# support disks
+# support disks: an independent oracle for the catalog's disks
 # ---------------------------------------------------------------------------
+
+class TouchesBoundary(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class SkeletonPath:
+    """A closed edge path in the 1-skeleton: edges as (chamber word,
+    label) pairs in cyclic order, with corner marks and corner angles."""
+
+    edges: tuple
+    corners: tuple = ()
+    angles: tuple = ()
+
+
+@dataclass(frozen=True)
+class SupportDisk:
+    chambers: frozenset
+    boundary: SkeletonPath
+    n: int
+    special_points: tuple
+
 
 def chamber_boundary_path(spec, word=()):
     """The boundary circle of one chamber, as a SkeletonPath."""
-    return cat.SkeletonPath(
+    return SkeletonPath(
         edges=tuple((tuple(word), g) for g in range(1, spec.k + 1)),
         corners=tuple(range(spec.k)),
         angles=tuple(spec.angle_at_vertex(j) for j in range(1, spec.k + 1)),
@@ -77,12 +89,83 @@ def entry_boundary_path(T, entry):
         if cnt < rec["m"]:
             corners.append(i)
             angles.append(RationalAngle(cnt, rec["m"]))
-    return cat.SkeletonPath(edges=edges, corners=tuple(corners), angles=tuple(angles))
+    return SkeletonPath(edges=edges, corners=tuple(corners), angles=tuple(angles))
+
+
+def support_disk(ball, circle):
+    """Chambers of a CoxeterBall enclosed by an embedded circle in the
+    1-skeleton, with special points.  Raises TouchesBoundary when the
+    enclosed region cannot be separated from the ball boundary."""
+    sysc = ball.system
+    bkeys = set()
+    for word, g in circle.edges:
+        w = sysc.canon(tuple(word))
+        other = sysc.canon(w + (g,))
+        bkeys.add((min(w, other), g))
+    missing = bkeys - set(ball.edges.keys())
+    if missing:
+        raise TouchesBoundary("circle edge %s outside the ball" % (min(missing),))
+    # flood fill both sides of the first edge; the interior is the side
+    # that stays finite without touching the ball boundary
+    first = next(iter(bkeys))
+    _label, cs = ball.edges[first]
+    if len(cs) < 2:
+        raise TouchesBoundary("circle runs along the ball boundary")
+
+    def fill(seed):
+        S = {seed}
+        stack = [seed]
+        ok = True
+        while stack:
+            c = stack.pop()
+            if not ball.is_inner[c]:
+                ok = False
+            for g in range(1, ball.spec.k + 1):
+                if ball.edge_of[c][g - 1] in bkeys:
+                    continue
+                d = ball.rmul[c][g - 1]
+                if d is None:
+                    ok = False
+                    continue
+                if d not in S:
+                    S.add(d)
+                    stack.append(d)
+        return S, ok
+
+    inside = None
+    for seed in cs:
+        S, ok = fill(seed)
+        if ok:
+            inside = S
+            break
+    if inside is None:
+        raise TouchesBoundary("neither side of the circle is interior")
+    # special points: boundary vertex with disk angle > pi, or interior
+    # vertex with an open link
+    specials = []
+    vkeys = set()
+    for c in inside:
+        for j in range(1, ball.spec.k + 1):
+            vkeys.add(ball.vertex_of[c][j - 1])
+    for key in sorted(vkeys):
+        info = ball.vertices[key]
+        cnt = sum(1 for ch in info["chambers"] if ch in inside)
+        m = info["m"]
+        if cnt == 2 * m and info["interior"]:
+            continue
+        if cnt > m:  # disk angle cnt*pi/m above pi
+            specials.append(key)
+    return SupportDisk(
+        chambers=frozenset(ball.words[c] for c in inside),
+        boundary=circle,
+        n=len(inside),
+        special_points=tuple(specials),
+    )
 
 
 def test_support_disk_single_chamber(spec238):
     ball = CoxeterBall(spec238, 4)
-    d = cat.support_disk(ball, chamber_boundary_path(spec238))
+    d = support_disk(ball, chamber_boundary_path(spec238))
     assert d.n == 1
     assert d.chambers == frozenset({()})
     assert d.special_points == ()
@@ -90,10 +173,10 @@ def test_support_disk_single_chamber(spec238):
 
 def test_support_disk_two_chambers(spec238):
     ball = CoxeterBall(spec238, 4)
-    circ = cat.SkeletonPath(
+    circ = SkeletonPath(
         edges=(((), 2), ((), 3), ((1,), 2), ((1,), 3))
     )
-    d = cat.support_disk(ball, circ)
+    d = support_disk(ball, circ)
     assert d.n == 2
     assert d.chambers == frozenset({(), (1,)})
     assert d.special_points == ()
@@ -103,10 +186,10 @@ def test_support_disk_detects_special_point(spec238):
     # three of the four chambers around an m=2 vertex: the disk angle
     # there is 3*pi/2 > pi
     ball = CoxeterBall(spec238, 4)
-    circ = cat.SkeletonPath(
+    circ = SkeletonPath(
         edges=(((), 2), ((), 3), ((1,), 3), ((1, 2), 1), ((1, 2), 3))
     )
-    d = cat.support_disk(ball, circ)
+    d = support_disk(ball, circ)
     assert d.n == 3
     assert len(d.special_points) == 1
 
@@ -114,8 +197,8 @@ def test_support_disk_detects_special_point(spec238):
 def test_support_disk_touches_boundary(spec238):
     ball = CoxeterBall(spec238, 3)
     far = max(ball.words, key=len)
-    with pytest.raises(cat.TouchesBoundary):
-        cat.support_disk(ball, chamber_boundary_path(spec238, far))
+    with pytest.raises(TouchesBoundary):
+        support_disk(ball, chamber_boundary_path(spec238, far))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +210,7 @@ def test_334_single_triangle_class(spec334):
     assert len(res) == 1
     e = next(iter(res))
     assert e.n == 1
-    assert sorted(a.fraction for a in e.corner_angles) == [
+    assert sorted(e.corner_angles) == [
         Fraction(1, 4), Fraction(1, 3), Fraction(1, 3)
     ]
 
@@ -149,18 +232,18 @@ def test_238_triangle_catalog_contents(spec238, tris238):
         if e.n == 2 and all(set(c[5]) <= {2, 3} for c in e.code)
     ]
     assert len(t2) == 1
-    assert sorted(a.fraction for a in t2[0].corner_angles) == [
+    assert sorted(t2[0].corner_angles) == [
         Fraction(1, 4), Fraction(1, 3), Fraction(1, 3)
     ]
     # a 6-chamber class with three even angles
     t6 = [e for e in tris238 if e.n == 6 and all(e.even_flags)]
     assert len(t6) == 1
-    assert all(a.fraction == Fraction(1, 4) for a in t6[0].corner_angles)
+    assert all(a == Fraction(1, 4) for a in t6[0].corner_angles)
 
 
 def test_238_triangle_defect_range(tris238):
     for e in tris238:
-        assert Fraction(1, 24) <= e.defect.fraction <= Fraction(5, 8)
+        assert Fraction(1, 24) <= e.defect <= Fraction(5, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +255,9 @@ def test_pentagon_no_quads(pentagon):
 
 
 def test_238_quad_minimum_defect(quads238):
-    mn = min(e.defect.fraction for e in quads238)
+    mn = min(e.defect for e in quads238)
     assert mn == Fraction(2, 24)
-    at_min = [e for e in quads238 if e.defect.fraction == mn]
+    at_min = [e for e in quads238 if e.defect == mn]
     assert len(at_min) == 1
     assert at_min[0].n == 2
 
@@ -182,12 +265,12 @@ def test_238_quad_minimum_defect(quads238):
 @pytest.mark.parametrize("k,m", [(3, (2, 3, 8)), (3, (3, 3, 4)), (3, (2, 4, 8))])
 def test_area_law_exact(k, m):
     spec = validate(k, m)
-    a0 = area(spec).fraction
+    a0 = area(spec)
     for e in cat.enumerate_triangles(spec) | cat.enumerate_quads(spec):
-        assert e.defect.fraction == e.n * a0
+        assert e.defect == e.n * a0
         # angle-sum form of the same identity
         l = 3 if e.shape == "triangle" else 4
-        total = sum(a.fraction for a in e.corner_angles)
+        total = sum(e.corner_angles)
         assert (l - 2) >= total + e.n * a0
 
 
@@ -309,7 +392,7 @@ def test_right_triangle_disks_have_no_special_points(m):
         path = entry_boundary_path(T, e)
         if any(len(w) > 6 for w, _g in path.edges):
             continue  # representative too deep for this ball
-        disk = cat.support_disk(ball, path)
+        disk = support_disk(ball, path)
         assert disk.n == e.n
         assert disk.special_points == ()
         checked += 1
@@ -322,7 +405,7 @@ def test_entry_boundary_path_chamber(spec238, tris238):
     path = entry_boundary_path(T, e1)
     assert len(path.edges) == 3
     assert len(path.corners) == 3
-    assert sorted(a.fraction for a in path.angles) == [
+    assert sorted(path.angles) == [
         Fraction(1, 8), Fraction(1, 3), Fraction(1, 2)
     ]
 

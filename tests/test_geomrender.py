@@ -57,7 +57,7 @@ NUMERIC_AREA_CASES = [
 def test_normal_polygon_area_matches_exact(k, m):
     spec = validate(k, m)
     poly = gr.normal_polygon(spec)
-    want = float(area(spec).fraction) * math.pi
+    want = float(area(spec)) * math.pi
     assert abs(numeric_area(poly) - want) < 1e-9
 
 
