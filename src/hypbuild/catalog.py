@@ -18,7 +18,9 @@ Two independent engines are provided and cross-checked:
 
 * the side-driven search: grow straight sides from a corner at each
   vertex-type orbit representative, turning by an allowed angle at each
-  corner, pruning by the enclosed-chamber cap; and
+  corner, pruning by the enclosed-chamber cap; one turn rule moves a
+  side straight through a vertex, turns it at a corner and closes the
+  circuit, by a last corner turn onto the start edge; and
 * a brute-force enumerator of edge-connected chamber sets filtered to
   convex disks (every boundary vertex angle <= pi).
 
@@ -231,9 +233,6 @@ def build_entry(T, S, shape):
     if len(corners) != {"triangle": 3, "quadrilateral": 4}[shape]:
         return None
     vseq, eseq = _boundary_walk(T, disk)
-    corner_pos = [i for i, v in enumerate(vseq) if v in corners]
-    if len(corner_pos) != len(corners):
-        return None
     # per-corner records in cyclic order, for both orientations
     def one_direction(vs, es):
         cp = [i for i, v in enumerate(vs) if v in corners]
@@ -330,44 +329,33 @@ def _side_search(spec, n_corners, step_cap):
     results = {}
     steps = [0]
 
-    def edge_cap(ncap):
-        return (spec.k - 2) * ncap + 2
-
-    def try_close(v0rec, p0, start_left, in_edge, left_ch, interior, angle_sum):
-        rec = v0rec
-        m = rec["m"]
-        p_in = rec["pos"].get(in_edge)
-        if p_in is None:
+    def turns(rec, in_edge, left_ch, options):
+        """Each turn by t*pi/m (t in options) at vertex record rec of a
+        side that arrives along in_edge with left_ch on its interior
+        side: (t, the chambers swept, out_edge, the new left chamber)."""
+        p = rec["pos"].get(in_edge)
+        if p is None:
             return
-        n2 = 2 * m
-        if rec["chams"][p_in % n2] == left_ch:
-            t0 = (p0 - p_in) % n2
-            if not (1 <= t0 <= m - 1):
-                return
-            if rec["chams"][(p0 - 1) % n2] != start_left:
-                return
-            swept = [rec["chams"][(p_in + i) % n2] for i in range(t0)]
-        elif rec["chams"][(p_in - 1) % n2] == left_ch:
-            t0 = (p_in - p0) % n2
-            if not (1 <= t0 <= m - 1):
-                return
-            if rec["chams"][p0 % n2] != start_left:
-                return
-            swept = [rec["chams"][(p_in - 1 - i) % n2] for i in range(t0)]
+        chams, n2 = rec["chams"], 2 * rec["m"]
+        # edge p joins chams[p - 1] and chams[p]; the sweep runs from the
+        # interior one away from the other
+        if chams[p] == left_ch:
+            sense, first = 1, p
+        elif chams[p - 1] == left_ch:
+            sense, first = -1, p - 1
         else:
             return
-        d = full - angle_sum - t0 * (L // m)
-        if d <= 0:
-            return
-        n_target, rest = divmod(d, a0)
-        if rest:
-            return
-        inter = set(interior)
-        inter.update(swept)
-        if len(inter) > n_target:
+        for t in options:
+            swept = [chams[(first + sense * i) % n2] for i in range(t)]
+            yield t, swept, rec["edges"][(p + sense * t) % n2], swept[-1]
+
+    def close(interior, angle_sum):
+        # the closing corner swept a chamber, so d <= 0 fails the size test
+        n_target, rest = divmod(full - angle_sum, a0)
+        if rest or len(interior) > n_target:
             return
         bpairs = {(e[0], e[1]) for e in all_edges}
-        S = _flood_fill(T, inter, bpairs, n_target)
+        S = _flood_fill(T, interior, bpairs, n_target)
         if S is None or len(S) != n_target:
             return
         entry = build_entry(T, S, shape)
@@ -375,48 +363,36 @@ def _side_search(spec, n_corners, step_cap):
             results[entry.key] = entry
 
     def walk(head_rec, in_edge, left_ch, corners_left, interior, angle_sum,
-             visited, v0rec, p0, start_left):
+             visited):
         steps[0] += 1
         if steps[0] > step_cap:
             raise ResourceCap("side search exceeded %d steps" % step_cap)
         key = head_rec["key"]
+        m = head_rec["m"]
         if key == v0rec["key"]:
+            # the circuit closes by a last corner turn onto the start edge
             if corners_left == 1:
-                try_close(v0rec, p0, start_left, in_edge, left_ch, interior,
-                          angle_sum)
+                for t, swept, out_edge, new_left in turns(
+                    head_rec, in_edge, left_ch, range(1, m)
+                ):
+                    if out_edge == start_edge and new_left == start_left:
+                        close(interior.union(swept), angle_sum + t * (L // m))
             return
         if key in visited:
             return
         ncap = n_cap_for(angle_sum, corners_left)
         if ncap < len(interior) or ncap < 1:
             return
-        if len(all_edges) >= edge_cap(ncap):
-            return
-        m = head_rec["m"]
-        n2 = 2 * m
-        p = head_rec["pos"].get(in_edge)
-        if p is None:
-            return
-        if head_rec["chams"][p % n2] == left_ch:
-            direction = 1
-        elif head_rec["chams"][(p - 1) % n2] == left_ch:
-            direction = -1
-        else:
+        if len(all_edges) >= (spec.k - 2) * ncap + 2:
             return
         visited.add(key)
         # straight (t = m) plus corner turns (t = 1..m-1) on the interior side
         turn_opts = [m]
         if corners_left > 1:
             turn_opts.extend(range(1, m))
-        for t in turn_opts:
-            if direction == 1:
-                swept = [head_rec["chams"][(p + i) % n2] for i in range(t)]
-                out_edge = head_rec["edges"][(p + t) % n2]
-                new_left = head_rec["chams"][(p + t - 1) % n2]
-            else:
-                swept = [head_rec["chams"][(p - 1 - i) % n2] for i in range(t)]
-                out_edge = head_rec["edges"][(p - t) % n2]
-                new_left = head_rec["chams"][(p - t) % n2]
+        for t, swept, out_edge, new_left in turns(
+            head_rec, in_edge, left_ch, turn_opts
+        ):
             new_interior = interior | set(swept)
             if t < m:  # a corner
                 new_angle = angle_sum + t * (L // m)
@@ -429,25 +405,18 @@ def _side_search(spec, n_corners, step_cap):
             wa, wb = T.edge_endpoints(out_edge)
             nxt = wa if wa["key"] != key else wb
             all_edges.append(out_edge)
-            walk(
-                nxt, out_edge, new_left, new_corners_left, new_interior,
-                new_angle, visited, v0rec, p0, start_left,
-            )
+            walk(nxt, out_edge, new_left, new_corners_left, new_interior,
+                 new_angle, visited)
             all_edges.pop()
         visited.discard(key)
 
     for j in range(1, spec.k + 1):
         v0rec = T.vertex(0, j)
-        for p0 in (0, 1):
-            start_edge = v0rec["edges"][p0]
-            start_left = v0rec["chams"][p0]
+        for start_edge, start_left in zip(v0rec["edges"][:2], v0rec["chams"]):
             wa, wb = T.edge_endpoints(start_edge)
             nxt = wa if wa["key"] != v0rec["key"] else wb
             all_edges = [start_edge]
-            walk(
-                nxt, start_edge, start_left, n_corners, set(), 0,
-                set(), v0rec, p0, start_left,
-            )
+            walk(nxt, start_edge, start_left, n_corners, set(), 0, set())
     return results
 
 

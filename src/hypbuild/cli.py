@@ -11,7 +11,9 @@ horizon or numerical precision (an ArithmeticError such as
 NoStabilization or NoConvergence), asked for a distance the ball radius
 cannot certify (HorizonTooSmall), hit a ResourceCap, or traced a valid
 ray through a vertex or out of the ball (NearVertex, LeftBall); the
-report's witnesses name the error.
+report's witnesses name the error.  Each of those four classes declares
+its code as the class attribute exit_code = 3, so main needs no list of
+them.
 All randomized experiments take --seed; identical config and seed give
 byte-identical reports.
 
@@ -65,12 +67,11 @@ def _spec_of(args, thin=False):
     return spec
 
 
-def _graph_of(args):
+def _graph_of(args, spec):
     from . import metrics as mt
     from . import rabuilding as rb
     from .coxeter import CoxeterBall
 
-    spec = _spec_of(args)
     if args.host == "apartment":
         ball = CoxeterBall(validate(spec.k, spec.m), args.radius)
         q = [int(x) for x in args.q.split(",")] if args.q else None
@@ -181,6 +182,8 @@ def _cmd_genpoly(args, config):
         )
     if args.sub == "opposites":
         v = args.vertex or min(poly.vertices())
+        if v not in poly.adj:
+            raise UsageError("--vertex %s is not a vertex of the %s" % (v, args.kind))
         return _emit(
             "genpoly opposites", config,
             results=[{"vertex": v, "opposites": gp.opposite_set(poly, v)}],
@@ -264,7 +267,10 @@ def _rays_from_thetas(G, thetas):
 def _cmd_metrics(args, config):
     from . import metrics as mt
 
-    G = _graph_of(args)
+    spec = _spec_of(args)
+    if getattr(args, "label", None) is not None and not 1 <= args.label <= spec.k:
+        raise UsageError("--label %d is not an edge label in [1, %d]" % (args.label, spec.k))
+    G = _graph_of(args, spec)
     for name in ("c", "cp", "x", "y"):
         idx = getattr(args, name, None)
         if idx is not None and not 0 <= idx < len(G):
@@ -318,7 +324,7 @@ def _cmd_metrics(args, config):
             })
         return _emit("metrics growth", config, results=results)
     if args.sub == "detect-skeleton":
-        line = ("wall", args.label) if args.label else ("generic", args.theta)
+        line = ("generic", args.theta) if args.label is None else ("wall", args.label)
         rep = mt.detect_skeleton_experiment(
             G, line, samples=args.samples, seed=args.seed
         )
@@ -330,7 +336,7 @@ def _cmd_metrics(args, config):
             verdicts=[{"name": "skeleton", "pass": rep["pass"]}],
         )
     rep = mt.detect_side_experiment(
-        G, args.label or 1, configs=args.samples, seed=args.seed
+        G, 1 if args.label is None else args.label, configs=args.samples, seed=args.seed
     )
     disagreements = [
         r for r in rep["records"]
@@ -419,6 +425,20 @@ def _radius(text):
     return radius
 
 
+def _count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % count)
+    return count
+
+
+def _step(text):
+    step = float(text)
+    if not step > 0:
+        raise argparse.ArgumentTypeError("step must be > 0, got %s" % text)
+    return step
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="hypbuild")
     p.add_argument("--timings", action="store_true",
@@ -466,7 +486,7 @@ def _build_parser():
         building[name].add_argument("--radius", type=_radius, default=3)
     building["ball"].add_argument("--out")
     building["verify"].add_argument("--in", dest="infile", required=True)
-    building["retract"].add_argument("--samples", type=int, default=100)
+    building["retract"].add_argument("--samples", type=_count, default=100)
     building["retract"].add_argument("--seed", type=int, default=0)
 
     metrics = add(
@@ -493,11 +513,11 @@ def _build_parser():
     metrics["crossratio"].add_argument("--thetas", required=True)
     metrics["crossratio"].add_argument("--c", type=int, default=0)
     metrics["growth"].add_argument("--n", type=float, default=3.0)
-    metrics["growth"].add_argument("--step", type=float, default=0.5)
+    metrics["growth"].add_argument("--step", type=_step, default=0.5)
     metrics["growth"].add_argument("--tau", type=int, default=0)
     for name in ("detect-skeleton", "detect-side"):
         metrics[name].add_argument("--label", type=int)
-        metrics[name].add_argument("--samples", type=int, default=20)
+        metrics[name].add_argument("--samples", type=_count, default=20)
     metrics["detect-skeleton"].add_argument("--theta", type=float, default=0.77)
 
     catalog = add("catalog", ["triangles", "quads", "claims"], _cmd_catalog)
@@ -515,29 +535,6 @@ def _build_parser():
     return p
 
 
-# the exit-3 classes that are not ArithmeticErrors, by defining module;
-# all but ResourceCap are ValueErrors, so main tests for these first
-_RAN_OUT = (
-    ("coxeter", "ResourceCap"),
-    ("geomrender", "NearVertex"),
-    ("geomrender", "LeftBall"),
-    ("metrics", "HorizonTooSmall"),
-)
-
-
-def _ran_out(exc):
-    """Whether `exc` ends a command with an exit-3 report. The classes are
-    read from the modules this process imported: a module that was never
-    imported cannot have raised."""
-    if isinstance(exc, ArithmeticError):
-        return True
-    for module, name in _RAN_OUT:
-        mod = sys.modules.get("%s.%s" % (__package__, module))
-        if mod is not None and isinstance(exc, getattr(mod, name)):
-            return True
-    return False
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -552,7 +549,8 @@ def main(argv=None):
     try:
         report = args.handler(args, config)
     except Exception as exc:
-        if not _ran_out(exc):
+        code = getattr(exc, "exit_code", 3 if isinstance(exc, ArithmeticError) else None)
+        if code is None:
             if isinstance(exc, (ChamberError, UsageError, FileNotFoundError, ValueError)):
                 sys.stderr.write("error: %s\n" % exc)
                 return 2
@@ -563,7 +561,6 @@ def main(argv=None):
         command = args.command if args.sub == args.command else "%s %s" % (args.command, args.sub)
         report = _emit(command, config,
                        witnesses=[{"error": type(exc).__name__, "message": str(exc)}])
-        code = 3
     else:
         code = 0 if all(v.get("pass", True) for v in report["verdicts"]) else 1
     if args.timings:

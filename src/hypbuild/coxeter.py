@@ -55,7 +55,7 @@ class BallTooSmall(ValueError):
 
 
 class ResourceCap(RuntimeError):
-    pass
+    exit_code = 3  # the CLI reports it and exits 3
 
 
 # (A_ij, A_ji) for the vertex of gonality m between edges i and j, as

@@ -44,11 +44,11 @@ class ToleranceFail(ArithmeticError):
 
 
 class NearVertex(ValueError):
-    pass
+    exit_code = 3  # the CLI reports it and exits 3
 
 
 class LeftBall(ValueError):
-    pass
+    exit_code = 3  # the CLI reports it and exits 3
 
 
 # ---------------------------------------------------------------------------

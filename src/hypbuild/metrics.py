@@ -89,7 +89,7 @@ class NoStabilization(ArithmeticError):
 
 
 class HorizonTooSmall(ValueError):
-    pass
+    exit_code = 3  # the CLI reports it and exits 3
 
 
 class HypothesisFail(ValueError):

@@ -64,6 +64,57 @@ def test_q_on_building_host_is_a_usage_error(capsys):
     assert cli.main(argv) == 0
 
 
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
+def test_growth_step_must_be_positive(capsys, step):
+    # parse only: a growth loop with such a step would never end
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["metrics", "growth", "--chamber", "3;2,3,8", "--step", step])
+    assert exc.value.code == 2
+    assert "step must be > 0" in capsys.readouterr().err
+    args = parser.parse_args(["metrics", "growth", "--chamber", "3;2,3,8", "--step", "0.25"])
+    assert args.step == 0.25
+
+
+@pytest.mark.parametrize("sub,chamber,label", [
+    ("detect-skeleton", "3;2,3,8", "0"),  # not the generic line
+    ("detect-side", "3;2,3,8", "0"),  # not label 1
+    ("detect-side", "5;2,2,2,2,2;2,2,2,2,2", "-1"),
+    ("detect-side", "3;2,3,8", "9"),
+    ("detect-skeleton", "5;2,2,2,2,2;2,2,2,2,2", "7"),
+])
+def test_detection_label_out_of_range_is_a_usage_error(capsys, sub, chamber, label):
+    host = "building" if chamber.startswith("5") else "apartment"
+    code = cli.main(["metrics", sub, "--chamber", chamber, "--host", host,
+                     "--radius", "2", "--samples", "2", "--label", label])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --label %s is not an edge label in [1, %s]\n" % (label, chamber[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "detect-side", "--chamber", "3;2,3,8", "--radius", "2", "--label", "1"],
+    ["metrics", "detect-skeleton", "--chamber", "3;2,3,8", "--radius", "2"],
+    ["building", "retract", "--chamber", "5;2,2,2,2,2;2,2,2,2,2", "--radius", "1"],
+])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_must_be_positive(capsys, argv, samples):
+    assert cli.main(argv + ["--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be >= 1, got %s" % samples in err
+
+
+def test_genpoly_opposites_unknown_vertex_is_a_usage_error(capsys):
+    code = cli.main(["genpoly", "opposites", "--kind", "quadrangle", "--params", "2",
+                     "--vertex", "nosuch"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --vertex nosuch is not a vertex of the quadrangle\n"
+
+
 # sha256 of seeded reports whose samples are placed by float point
 # location: the two detect-skeleton reports measured with the linear
 # chamber scan (test_geomrender's _scan_locate) in place of the walk;
