@@ -72,6 +72,15 @@ class ChamberSpec:
     def m_at_vertex(self, j):
         return self.m[j - 1]
 
+    def m_between(self, a, b):
+        """The order of s_a s_b: the gonality of the vertex where edges a
+        and b meet (vertex j joins edges j and j + 1), None if they do
+        not meet."""
+        for j in (a, b):
+            if j % self.k + 1 in (a, b):
+                return self.m[j - 1]
+        return None
+
     def is_thick(self):
         return all(qi >= 2 for qi in self.q)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -270,6 +271,16 @@ def _cmd_metrics(args, config):
     spec = _spec_of(args)
     if getattr(args, "label", None) is not None and not 1 <= args.label <= spec.k:
         raise UsageError("--label %d is not an edge label in [1, %d]" % (args.label, spec.k))
+    flag, thetas = "--theta", [getattr(args, "theta", 0.0)]
+    if args.sub == "crossratio":
+        flag, thetas = "--thetas entry", [float(x) for x in args.thetas.split(",")]
+        if len(thetas) != 4:
+            raise UsageError("--thetas needs four comma-separated angles")
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise UsageError("%s %s is not a finite angle" % (flag, theta))
+    if args.sub == "growth" and not 0 <= args.n < math.inf:
+        raise UsageError("--n %s is not a finite number >= 0" % args.n)
     G = _graph_of(args, spec)
     for name in ("c", "cp", "x", "y"):
         idx = getattr(args, name, None)
@@ -295,9 +306,6 @@ def _cmd_metrics(args, config):
             results=[{"busemann": v, "value": v.value()}],
         )
     if args.sub == "crossratio":
-        thetas = [float(x) for x in args.thetas.split(",")]
-        if len(thetas) != 4:
-            raise UsageError("--thetas needs four comma-separated angles")
         xi1, xi2, eta1, eta2 = _rays_from_thetas(G, thetas)
         v = mt.cross_ratio(G, xi1, xi2, eta1, eta2, args.c)
         return _emit(

@@ -89,12 +89,6 @@ class CoxeterSystem:
     def __init__(self, spec):
         self.spec = spec
         self.k = spec.k
-        # order of s_i s_j for cyclically adjacent pairs; None = infinity
-        self._orders = {}
-        for j in range(1, spec.k + 1):
-            a, b = j, j % spec.k + 1
-            self._orders[(a, b)] = spec.m[j - 1]
-            self._orders[(b, a)] = spec.m[j - 1]
         # 0-based Cartan entries; vertex j joins edges j and j+1
         cartan = {(r, s): _FREE for r in range(self.k) for s in range(self.k) if r != s}
         for j in range(self.k):
@@ -107,10 +101,6 @@ class CoxeterSystem:
             for s in range(self.k)
         ]
         self._canon_cache = {}
-
-    def m_between(self, a, b):
-        """Order of s_a s_b for distinct generators (None when infinite)."""
-        return self._orders.get((a, b))
 
     # -- word problem ---------------------------------------------------
 
@@ -406,16 +396,16 @@ class ChamberComplex:
     tessellation balls (CoxeterBall) and thick building balls
     (rabuilding.BuildingBall).
 
-    A subclass sets `spec`, `radius`, `system`, `words` (chamber words,
-    index = position), `index` (word -> position), its letters
-    (`_set_letters`) and `rmul` (rmul[c][n]: words[c] times the n-th
-    letter, or None outside the ball).  A letter is (label, color), 1 <=
-    color <= thickness[label - 1], the number of chambers across a panel
-    of type label (1 on a thin ball).  `neighbors`, `step` and `panel`
-    read `rmul` here.  A subclass supplies `append(word, label, color)`,
-    a normal form times one letter, `_vertex_size(j)`, the number of
-    chambers around a closed vertex j, and `inverse(c)` and
-    `times(inv, b)` (for `wdist`).
+    A subclass sets `spec`, `radius`, `system`, its letters
+    (`_set_letters`), and with `_grow` `words` (chamber words, index =
+    position), `index` (word -> position) and `rmul` (rmul[c][n]:
+    words[c] times the n-th letter, or None outside the ball).  A letter
+    is (label, color), 1 <= color <= thickness[label - 1], the number of
+    chambers across a panel of type label (1 on a thin ball).
+    `neighbors`, `step` and `panel` read `rmul` here.  A subclass
+    supplies `append(word, label, color)`, a normal form times one
+    letter, `_vertex_size(j)`, the chambers around a closed vertex j,
+    and `inverse(c)` and `times(inv, b)`, the W-word of inv * words[b].
     The cells (`edges`, `edge_of`, `is_inner`, `vertices`, `vertex_of`)
     are built together by `_build_cells` on the first read of any one of
     them.  Panels are read off `rmul` and, past the radius, `append`
@@ -489,6 +479,32 @@ class ChamberComplex:
                 for x in comp:
                     vertex_of[x][j - 1] = key
 
+    def _grow(self, step, cap):
+        """Grow `words` and `rmul` by levels.  `step(c, n)` steps the
+        panel of chamber c and letter column n from c, the panel's member
+        nearest the base: it appends the members new to `words` and fills
+        every member's row of `rmul` for the panel.  When that row is
+        already filled, c is not that member and `step` does nothing.
+        Each chamber below the radius is stepped once per letter; the
+        last level never is: a panel of its chambers either has a lower
+        member or lies outside the ball.  No level is sorted: a chamber's normal form
+        (ShortLex on a thin ball, the graph-product normal form of
+        Hermiller-Meier, J. Algebra 171, 1995, on a building) less its
+        last letter is its lex-least parent, so growth in level order,
+        letters in increasing order, meets each level in lexicographic
+        order.  Sets `sphere_counts`, the chambers per level, and raises
+        ResourceCap past `cap` chambers."""
+        words, counts = self.words, [1]
+        for _ in range(self.radius):
+            start = len(words)
+            for c in range(start - counts[-1], start):
+                for n in range(len(self.labels)):
+                    step(c, n)
+                    if len(words) > cap:
+                        raise ResourceCap(self._cap_message % cap)
+            counts.append(len(words) - start)
+        self.sphere_counts = counts
+
     def _set_letters(self, thickness):
         self.thickness = tuple(thickness)
         self._letters = [(i, c) for i, q in enumerate(thickness, 1) for c in range(1, q + 1)]
@@ -516,10 +532,6 @@ class ChamberComplex:
             out.append(self.append(w, label, color) if d is None else self.words[d])
         return out
 
-    def wdist(self, a, b):
-        """The ShortLex W-distance word from chamber a to chamber b."""
-        return self.times(self.inverse(a), b)
-
     def interior_vertex_keys(self):
         return [k for k, v in self.vertices.items() if v["interior"]]
 
@@ -535,13 +547,13 @@ class ChamberComplex:
 
 class CoxeterBall(ChamberComplex):
     """All chambers at word length <= radius, assembled as a labeled
-    2-complex with integer-indexed multiplication tables.  The ball grows
-    by levels through the root-point step (`Tessellation.step`), the one
-    the catalog uses, and reads `rmul` off it; no `canon` call is made
-    while it is built.  No chamber past the radius is stepped to: since
-    l(ws) = l(w) +- 1, every in-ball move of a last-level chamber is the
-    reverse of a move from the level below.  The tessellation is not
-    kept, and the cells are built on first read."""
+    2-complex with integer-indexed multiplication tables.  The ball keeps
+    the `words` and `rmul` lists that `_grow` fills through the
+    root-point step (`Tessellation.step`, the one the catalog uses), with
+    no `canon` call, and drops the tessellation; cells are built on first
+    read."""
+
+    _cap_message = "chamber cap %d exceeded"
 
     def __init__(self, spec, radius, chamber_cap=2_000_000):
         self.spec = spec
@@ -553,25 +565,10 @@ class CoxeterBall(ChamberComplex):
     # -- group layer ----------------------------------------------------
 
     def _build_group(self, cap):
-        k = self.spec.k
         tess = Tessellation(self.spec)
-        words = tess.words
-        level = range(1)
-        for _ in range(self.radius):
-            start = len(words)
-            for c in level:
-                for g in range(1, k + 1):
-                    tess.step(c, g)
-                    if len(words) > cap:
-                        raise ResourceCap("chamber cap %d exceeded" % cap)
-            level = range(start, len(words))
-        order = sorted(range(len(words)), key=lambda t: (len(words[t]), words[t]))
-        self.words = [words[t] for t in order]
+        self.words, self.rmul = tess.words, tess.rmul
+        self._grow(lambda c, n: tess.step(c, n + 1), cap)
         self.index = {w: i for i, w in enumerate(self.words)}
-        # rmul[c][g - 1]: the index of the chamber across edge g of c; an
-        # unfilled step of a last-level chamber leads out of the ball
-        position = {t: i for i, t in enumerate(order)}
-        self.rmul = [[None if d is None else position[d] for d in tess.rmul[t]] for t in order]
 
     def append(self, word, label, color=1):
         """The ShortLex word of word * s_label (a thin ball's one color)."""

@@ -12,7 +12,7 @@ wall it lies on is one word-problem query (CoxeterSystem.separates).
 The host ball is a CoxeterBall (a thin apartment) or a
 rabuilding.BuildingBall.  Both give the chamber interface of
 coxeter.ChamberComplex (`rmul`, `step`, `append`, `thickness`,
-`wdist`, `is_inner`), so no code here asks which one it has: the
+`inverse`, `times`, `is_inner`), so no code here asks which one it has: the
 detection experiments add branch rays exactly where a panel's thickness
 exceeds 1.
 
@@ -212,9 +212,9 @@ class DualGraph:
     def min_word_weight(self, word):
         """The least weight of a reduced word for the element of `word`,
         packed over self.primes; `word` must itself be reduced and
-        ShortLex, as both balls' `wdist` returns.  It is the letter sum
-        when the weights are constant on conjugacy classes of generators,
-        else the least sum over its reduced words."""
+        ShortLex, as both balls' `times(inverse(a), b)` returns.  It is
+        the letter sum when the weights are constant on conjugacy classes
+        of generators, else the least sum over its reduced words."""
         if not self.letter_sum:
             return self._minw(word).pack(self.primes)
         codes = self._label_codes

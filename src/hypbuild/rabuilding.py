@@ -10,9 +10,9 @@ base chamber is the empty word.
 
 Chambers are kept in the lexicographic normal form of the graph
 product (Hermiller-Meier; Anisimov-Knuth for the commutation part).
-Every path that moves from a chamber to a neighbor (ball growth, the
-multiplication tables, panels, apartments) takes one step,
-`append_letter`, which right-multiplies a normal form by one letter.
+Every path that moves from a chamber to a neighbor (ball growth,
+panels, apartments) takes one step, `append_letter`, which
+right-multiplies a normal form by one letter.
 
 The module provides canonical normal forms, finite balls with their
 labeled cells, the W-valued distance, deterministic apartments through
@@ -95,12 +95,7 @@ def normal_form(word, spec):
     chamber iff their normal forms match.  It is built by appending the
     letters one at a time with `append_letter`.
     """
-    out = ()
-    for letter in word:
-        if not 1 <= letter[0] <= spec.k:
-            raise BuildingError("FormatError", "letter label %r out of range" % (letter[0],))
-        out = append_letter(out, letter, spec)
-    return out
+    return _times((), word, spec)
 
 
 def inverse_word(word, spec):
@@ -135,7 +130,12 @@ def wdist(g, h, spec):
 
 class BuildingBall(ChamberComplex):
     """All chambers at gallery distance <= radius from the base chamber,
-    with labeled edges and vertices assembled from panels on first read."""
+    with labeled edges and vertices assembled from panels on first read.
+    The panel of type i whose member nearest the base is a holds the
+    chambers a (i, b), b mod q_i + 1, and a (i, b) (i, b') = a (i, b + b'):
+    so one `append_letter` per other member fills every member's row."""
+
+    _cap_message = "building ball exceeds %d chambers"
 
     def __init__(self, spec, radius, chamber_cap=2_000_000):
         check_right_angled(spec)
@@ -148,32 +148,25 @@ class BuildingBall(ChamberComplex):
     # -- chambers -------------------------------------------------------
 
     def _build_chambers(self, cap):
-        spec, letters = self.spec, self._letters
-        frontier = [()]
-        seen = {(): 0}
-        order = [[()]]
-        for n in range(1, self.radius + 1):
-            nxt = []
-            for w in frontier:
-                for letter in letters:
-                    v = append_letter(w, letter, spec)
-                    if len(v) == n and v not in seen:
-                        seen[v] = n
-                        nxt.append(v)
-                        if len(seen) > cap:
-                            raise ResourceCap(
-                                "building ball exceeds %d chambers" % cap
-                            )
-            nxt.sort()
-            order.append(nxt)
-            frontier = nxt
-        self.words = [w for level in order for w in level]
-        index = self.index = {w: i for i, w in enumerate(self.words)}
-        self.sphere_counts = [len(level) for level in order]
-        self.rmul = [
-            [index.get(append_letter(w, letter, spec)) for letter in letters]
-            for w in self.words
-        ]
+        self.words, self.index, self.rmul = [()], {(): 0}, [[None] * len(self.labels)]
+        self._grow(self._step_panel, cap)
+
+    def _step_panel(self, c, n):
+        """`_grow`'s step: the panel of chamber c and letter column n."""
+        if self.rmul[c][n] is not None:
+            return
+        label = self.labels[n]
+        first, q = self._first[label - 1], self.thickness[label - 1]
+        members = [c]
+        for color in range(1, q + 1):
+            v = append_letter(self.words[c], (label, color), self.spec)
+            if v not in self.index:
+                self.index[v] = len(self.words)
+                self.words.append(v)
+                self.rmul.append([None] * len(self.labels))
+            members.append(self.index[v])
+        for b, d in enumerate(members):
+            self.rmul[d][first:first + q] = members[b + 1:] + members[:b]
 
     def append(self, word, label, color=1):
         """The normal form of word * (label, color)."""
@@ -421,7 +414,7 @@ def verify_building_local(text, spec):
         if open_link:
             continue  # boundary vertex: no closed-link requirement
         checked_links += 1
-        jm = _m_between_labels(spec, a, b)
+        jm = spec.m_between(a, b)
         if jm is None:
             violations.append(
                 ("VertexLabels", "vertex %d labels (%d,%d) not adjacent" % (vid, a, b), vid)
@@ -457,12 +450,3 @@ def verify_building_local(text, spec):
             "closed_links": checked_links,
         },
     )
-
-
-def _m_between_labels(spec, a, b):
-    lo, hi = (a, b) if a < b else (b, a)
-    if hi - lo == 1:
-        return spec.m[lo - 1]
-    if lo == 1 and hi == spec.k:
-        return spec.m[spec.k - 1]
-    return None

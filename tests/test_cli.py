@@ -76,6 +76,31 @@ def test_growth_step_must_be_positive(capsys, step):
     assert args.step == 0.25
 
 
+@pytest.mark.parametrize("n", ["-1", "-0.5", "nan", "inf", "-inf"])
+def test_growth_n_must_be_finite_and_not_negative(capsys, n):
+    code = cli.main(["metrics", "growth", "--chamber", "3;2,3,8", "--q", "2,3,5",
+                     "--radius", "2", "--n=" + n])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n %s is not a finite number >= 0\n" % float(n)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv,flag", [
+    (["busemann", "--cp", "1", "--theta={}"], "--theta"),
+    (["detect-skeleton", "--samples", "2", "--theta={}"], "--theta"),
+    (["crossratio", "--thetas=0.5,{},2,3"], "--thetas entry"),
+], ids=["busemann", "detect-skeleton", "crossratio"])
+def test_non_finite_ray_angle_is_a_usage_error(capsys, argv, flag, value):
+    code = cli.main(["metrics", *[a.format(value) for a in argv],
+                     "--chamber", "3;2,3,8", "--radius", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s %s is not a finite angle\n" % (flag, float(value))
+
+
 @pytest.mark.parametrize("sub,chamber,label", [
     ("detect-skeleton", "3;2,3,8", "0"),  # not the generic line
     ("detect-side", "3;2,3,8", "0"),  # not label 1

@@ -72,7 +72,7 @@ def test_reduce_matches_dihedral_oracle(spec238, m, pair):
     # m(1,2)=2, m(2,3)=3, m(3,1)=8
     spec = spec238
     sysc = CoxeterSystem(spec)
-    assert sysc.m_between(*pair) == m
+    assert spec.m_between(*pair) == m
     rng = random.Random(m)
     for _ in range(200):
         word = tuple(rng.choice(pair) for _ in range(rng.randrange(0, 12)))
@@ -92,7 +92,7 @@ def test_reduce_spec_examples():
 
 def test_reduce_no_relation_for_nonadjacent(pentagon):
     sysc = CoxeterSystem(pentagon)
-    assert sysc.m_between(1, 3) is None
+    assert pentagon.m_between(1, 3) is None
     assert sysc.canon((1, 3)) == (1, 3)
     # adjacent edges commute (m=2): ShortLex orders the letters
     assert sysc.canon((2, 1)) == (1, 2)
@@ -131,7 +131,7 @@ def braid_moves(sysc, w):
     """Words one braid move (ab.. -> ba.., m letters each) away from w."""
     for p in range(len(w) - 1):
         a, b = w[p], w[p + 1]
-        m = sysc.m_between(a, b) if a != b else None
+        m = sysc.spec.m_between(a, b) if a != b else None
         if m is None or p + m > len(w):
             continue
         if all(w[p + t] == (a, b)[t % 2] for t in range(m)):
@@ -350,6 +350,7 @@ def test_ball_matches_canon_bfs_oracle(spec, radius):
     assert ball.words == oracle.words
     assert ball.index == oracle.index
     assert ball.rmul == oracle.rmul
+    assert ball.sphere_counts == [sum(len(w) == n for w in oracle.words) for n in range(radius + 1)]
     assert ball.edges == oracle.edges
     assert ball.vertices == oracle.vertices
 

@@ -212,7 +212,7 @@ def test_words_pairs_take_the_packed_path(monkeypatch):
 def _minw_wall_sum(G, a, b):
     """The wall sum of a chamber pair by the search over reduced words
     (DualGraph._minw), whichever path G itself takes."""
-    return G._minw(G.ball.system.canon(G.ball.wdist(a, b)))
+    return G._minw(G.ball.system.canon(G.ball.times(G.ball.inverse(a), b)))
 
 
 def _check_letter_sum_on_every_pair(G):
@@ -220,7 +220,7 @@ def _check_letter_sum_on_every_pair(G):
     every chamber pair of the ball (each distinct W-distance once)."""
     assert G.letter_sum
     n = len(G)
-    words = {G.ball.wdist(a, b) for a in range(n) for b in range(a, n)}
+    words = {G.ball.times(G.ball.inverse(a), b) for a in range(n) for b in range(a, n)}
     for word in words:
         assert G.min_word_weight(word) == G._minw(G.ball.system.canon(word)).pack(G.primes)
     rng = random.Random(5)

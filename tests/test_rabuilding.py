@@ -4,7 +4,7 @@ import pytest
 
 from hypbuild import genpoly, rabuilding as rb
 from hypbuild.chamber import validate
-from hypbuild.coxeter import CoxeterBall, CoxeterSystem, export_complex
+from hypbuild.coxeter import CoxeterBall, CoxeterSystem, ResourceCap, export_complex
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,88 @@ def test_sphere_counts_at_radius_6(no_cells, pentagon_thick, pentagon):
     assert len(bb) == 56951
     cox_spheres = [len([w for w in cb.words if len(w) == n]) for n in range(7)]
     assert bb.sphere_counts == [cox_spheres[n] * 2**n for n in range(7)]
+
+
+class _AppendBall(rb.BuildingBall):
+    """The ball built the way it was before panels were stepped: a
+    frontier pass of `append_letter` with each level sorted, then a
+    second `append_letter` pass over every chamber and letter for
+    `rmul`."""
+
+    def _build_chambers(self, cap):
+        spec, letters = self.spec, self._letters
+        frontier = [()]
+        seen = {(): 0}
+        order = [[()]]
+        for n in range(1, self.radius + 1):
+            nxt = []
+            for w in frontier:
+                for letter in letters:
+                    v = rb.append_letter(w, letter, spec)
+                    if len(v) == n and v not in seen:
+                        seen[v] = n
+                        nxt.append(v)
+                        if len(seen) > cap:
+                            raise ResourceCap("building ball exceeds %d chambers" % cap)
+            nxt.sort()
+            order.append(nxt)
+            frontier = nxt
+        self.words = [w for level in order for w in level]
+        index = self.index = {w: i for i, w in enumerate(self.words)}
+        self.sphere_counts = [len(level) for level in order]
+        self.rmul = [
+            [index.get(rb.append_letter(w, letter, spec)) for letter in letters]
+            for w in self.words
+        ]
+
+
+APPEND_ORACLE_CASES = (
+    [(validate(5, (2,) * 5, (2,) * 5), r) for r in (0, 1, 3, 5)]
+    + [(validate(5, (2,) * 5, (3, 2, 4, 2, 3)), r) for r in range(5)]
+    + [(validate(6, (2,) * 6, (2, 3, 2, 3, 2, 3)), 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec,radius", APPEND_ORACLE_CASES,
+    ids=["%s-R%d" % (",".join(map(str, s.q)), r) for s, r in APPEND_ORACLE_CASES],
+)
+def test_ball_matches_two_pass_oracle(spec, radius):
+    ball, oracle = rb.ball(spec, radius), _AppendBall(spec, radius)
+    assert ball.words == oracle.words
+    assert ball.index == oracle.index
+    assert ball.rmul == oracle.rmul
+    assert ball.sphere_counts == oracle.sphere_counts
+    assert ball.edges == oracle.edges
+    assert ball.vertices == oracle.vertices
+
+
+@pytest.mark.parametrize("q, radius", [((2,) * 5, 4), ((3, 2, 4, 2, 3), 3)])
+def test_ball_build_appends_once_per_panel_member(monkeypatch, q, radius):
+    calls = []
+
+    def record(word, letter, spec):
+        calls.append((word, letter))
+        return append(word, letter, spec)
+
+    append = rb.append_letter
+    monkeypatch.setattr(rb, "append_letter", record)
+    ball = rb.ball(validate(5, (2,) * 5, q), radius)
+    # no last-level chamber is stepped, and no chamber twice by a letter
+    assert max(len(w) for w, _letter in calls) == radius - 1
+    assert len(set(calls)) == len(calls)
+    # one append per upward entry of rmul: each panel is stepped once,
+    # from its member nearest the base
+    words = ball.words
+    up = sum(len(words[d]) > len(w) for w, row in zip(words, ball.rmul)
+             for d in row if d is not None)
+    assert len(calls) == up
+
+
+def test_ball_cap_raises_resource_cap(pentagon_thick):
+    with pytest.raises(ResourceCap, match="building ball exceeds 70 chambers"):
+        rb.ball(pentagon_thick, 2, chamber_cap=70)
+    assert len(rb.ball(pentagon_thick, 2, chamber_cap=71)) == 71
 
 
 def test_ball_rejects_wrong_specs(spec238, pentagon):
