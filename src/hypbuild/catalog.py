@@ -41,9 +41,9 @@ same.
 
 Isomorphism classes are label-preserving: the symmetry group of the
 labeled tessellation acts simply transitively on chambers, so a class
-is canonicalized by translating each member chamber u to the base
-chamber in turn (s -> canon(u^-1 s)) and taking the least sorted tuple
-of translated words.
+is keyed by the least breadth-first code of its chamber set, read off
+the tessellation's neighbour table from each member in turn
+(coxeter.Tessellation.canonical_form); no word problem is solved.
 """
 
 from __future__ import annotations

@@ -70,7 +70,6 @@ def _spec_of(args, thin=False):
 
 def _graph_of(args, spec):
     from . import metrics as mt
-    from . import rabuilding as rb
     from .coxeter import CoxeterBall
 
     if args.host == "apartment":
@@ -80,6 +79,8 @@ def _graph_of(args, spec):
     if args.q:
         raise UsageError("--q overrides weights on an apartment host only; "
                          "a building's thickness comes from --chamber")
+    from . import rabuilding as rb
+
     return mt.DualGraph(rb.ball(spec, args.radius))
 
 
@@ -543,10 +544,29 @@ def _build_parser():
     return p
 
 
+# argparse reads a word after a flag as its value only when the word does
+# not look like an option; "-0.5" passes, "-1e-3" does not
+_ANGLE_FLAGS = ("--theta", "--thetas")
+
+
+def _glue_angles(argv):
+    """argv with each angle flag glued to the word after it, as
+    "--theta=-1e-3", so that word is the flag's value even when it starts
+    with one "-"; a next word that starts with "--" is left to be the
+    next flag."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _ANGLE_FLAGS and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_angles(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     config = {

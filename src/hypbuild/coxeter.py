@@ -32,8 +32,9 @@ ring operations, and the point w s_g (x0) keys it exactly.  Its
 ShortLex word then needs only the descents stripped until the point
 reaches an element whose word is already known.  `Tessellation` walks
 this way, and it is the one neighbour step of the thin tessellation:
-`CoxeterBall` builds its chambers and its `rmul` table with it and the
-catalog searches it.  `canon` is left for arbitrary words.
+`CoxeterBall` builds its chambers and its `rmul` table with it, the
+catalog searches it, and the apartment charts of `metrics` step it on
+demand as rays cross them.  `canon` is left for arbitrary words.
 
 Walls are named by their reflections, and both wall facts go through the
 word problem in one place each: `CoxeterSystem.conjugate` builds the
@@ -236,9 +237,10 @@ class CoxeterSystem:
 
 class Tessellation:
     """The full chamber tessellation, grown on demand.  Chambers are
-    integer ids; chamber 0 is the base chamber.  `words` holds each
-    chamber's ShortLex word and `rmul[c][g - 1]` the chamber across edge
-    g of chamber c, once stepped.
+    integer ids in discovery order; chamber 0 is the base chamber.
+    `words` holds each chamber's ShortLex word and `rmul[c][g - 1]` the
+    chamber across edge g of chamber c, once stepped.  It is the chamber
+    table of the catalog searches and of metrics' apartment charts.
 
     A chamber w is keyed by its exact point w(x0) in root coordinates.
     While w still has an unknown neighbour, its root matrix is kept; the
@@ -340,15 +342,33 @@ class Tessellation:
         return self.vertex(lo, j1), self.vertex(lo, j2)
 
     def canonical_form(self, chambers):
-        """Least, over all translations bringing a member chamber to the
-        base chamber, of the sorted tuple of translated chamber words."""
-        canon = self.system.canon
+        """A key of a chamber set up to translation: the least, over its
+        members u, of its breadth-first code from u.  The code lists, for
+        each chamber in breadth-first order from u (neighbours by label),
+        the position in that order of its neighbour across each label, or
+        -1 for a neighbour outside the set.  Translations preserve labels,
+        so translates share their codes; a code rebuilds the set from u,
+        so sets sharing a code are translates.  Raises ValueError on a set
+        that is not gallery-connected."""
+        # each member's neighbours by label, stepped once for all starts
+        rows = {c: [self.step(c, g) for g in range(1, self.k + 1)] for c in chambers}
         best = None
-        for u in chambers:
-            inv = tuple(reversed(self.words[u]))
-            cand = tuple(sorted(canon(inv + self.words[s]) for s in chambers))
-            if best is None or cand < best:
-                best = cand
+        for u in rows:
+            order, pos, code = [u], {u: 0}, []
+            for c in order:  # grows while it is read: breadth first
+                for d in rows[c]:
+                    if d not in rows:
+                        code.append(-1)
+                        continue
+                    if d not in pos:
+                        pos[d] = len(order)
+                        order.append(d)
+                    code.append(pos[d])
+            if len(order) < len(rows):
+                raise ValueError("chamber set is not gallery-connected")
+            code = tuple(code)
+            if best is None or code < best:
+                best = code
         return best
 
 

@@ -12,7 +12,10 @@ Point location and ray tracing realize no chamber.  They keep the point
 (and tangent) in the current chamber's own frame, where that chamber is
 the base polygon, and carry it across edge i into the next frame by the
 base reflection in edge i.  So they read only the polygon and a thin
-ball's `rmul` and `words`, and no matrix product drifts along a word.
+ball's `step`, `words` and `radius`, and no matrix product drifts along
+a word.  The ball is a CoxeterBall or a metrics chart, whose
+coxeter.Tessellation steps each chamber when a walk or a ray first
+reaches it.
 Points are located by walking (Devillers-Pion-Teillaud, *Walking in a
 triangulation*, 2002), not by scanning: chambers are the Dirichlet
 domains of the orbit of the base barycenter, so crossing an edge that
@@ -304,12 +307,12 @@ def _walk(realized, p, *carried):
     most, carrying p and the `carried` vectors into the next frame.
     Taking the most separating edge keeps rounding from sending the walk
     across a wall that p only touches.  The walk stops where no edge
-    separates p, or where the next step would leave the ball or lead
-    back toward the base (which only rounding can ask for).  Returns the
-    chamber, its most negative side product (0.0 when it holds p), and
-    the vectors in its frame."""
-    polygon = realized.polygon
-    rmul, words = realized.ball.rmul, realized.ball.words
+    separates p, or where the next step would leave the ball (see
+    `trace`) or lead back toward the base (which only rounding can ask
+    for).  Returns the chamber, its most negative side product (0.0 when
+    it holds p), and the vectors in its frame."""
+    polygon, ball = realized.polygon, realized.ball
+    step, words, radius = ball.step, ball.words, ball.radius
     inside = [bform(polygon.barycenter, u) for u in polygon.normals]
     vecs = (p,) + carried
     c = 0
@@ -321,8 +324,8 @@ def _walk(realized, p, *carried):
                 worst, label = side, i
         if label is None:
             return c, worst, vecs
-        nxt = rmul[c][label]
-        if nxt is None or len(words[nxt]) < len(words[c]):
+        nxt = step(c, label + 1)
+        if nxt is None or len(words[nxt]) > radius or len(words[nxt]) < len(words[c]):
             return c, worst, vecs
         c = nxt
         vecs = tuple(mat_apply(polygon.reflections[label], x) for x in vecs)
@@ -332,7 +335,7 @@ def locate(realized, p):
     """Chamber index containing p, or None, found by `_walk`.  `realized`
     is anything with a thin ball `.ball` and its `.polygon`: a
     RealizedBall, or a metrics chart, whose chambers are never
-    realized."""
+    realized and are stepped on demand."""
     c, worst, _vecs = _walk(realized, p)
     return c if worst >= -1e-7 else None
 
@@ -354,7 +357,10 @@ def geodesic_point(p, v, t):
 def trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
     """Trace the geodesic from `base` in direction `theta` for hyperbolic
     arc length `length` through the thin ball `realized.ball`, in chamber
-    frames (`realized` as for `locate`).
+    frames (`realized` as for `locate`).  The ball gives `words`,
+    `radius` and `step(c, label)`; a neighbour lies outside the ball when
+    `step` returns None (a CoxeterBall's rim) or its word is longer than
+    the radius (a chart, whose table steps chambers on demand).
 
     Returns the ordered crossings as (edge label, chamber entered,
     crossing parameter).  Raises NearVertex if a crossing point passes
@@ -365,7 +371,8 @@ def trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
     its float operations: those of the helpers it inlines (bform,
     geodesic_point, hyp_distance, mat_apply, the normalizations).
     """
-    polygon, rmul = realized.polygon, realized.ball.rmul
+    polygon, ball = realized.polygon, realized.ball
+    step, words, radius = ball.step, ball.words, ball.radius
     margin = VERTEX_MARGIN * polygon.inradius
     v = tangent_at(base, theta) if tangent is None else tangent
     c, worst, ((p0, p1, p2), (v0, v1, v2)) = _walk(realized, base, v)
@@ -401,8 +408,8 @@ def trace(realized, base, theta, length, tangent=None, stop_at_boundary=False):
         db = x0 * vb[0] - x1 * vb[1] - x2 * vb[2]
         if acosh(max(1.0, da)) < margin or acosh(max(1.0, db)) < margin:
             raise NearVertex("crossing at t=%.6f too close to a vertex" % (t0 + t))
-        nxt = rmul[c][label - 1]
-        if nxt is None:
+        nxt = step(c, label)
+        if nxt is None or len(words[nxt]) > radius:
             if stop_at_boundary:
                 return crossings
             raise LeftBall("geodesic exits the ball at t=%.6f" % (t0 + t))

@@ -53,13 +53,17 @@ so stabilization compares ints, and only the stable value is unpacked
 and halved; Busemann sequences work the same way.
 
 Boundary points are finite-horizon ray surrogates: a RaySpec traces a
-geodesic through an apartment chart, a thin ball whose chambers are
-never realized (geomrender traces in each chamber's own frame), and
-induces a chamber sequence in the host, one step of the host ball's
-table per crossing on every chart; Gromov products, Busemann
-cocycles and cross ratios are stabilized limits along those sequences,
-and a failure to stabilize is always surfaced, never truncated
-silently.
+geodesic through an apartment chart and induces a chamber sequence in
+the host, one step of the host ball's table per crossing, labeled by the
+trace; Gromov products, Busemann cocycles and cross ratios are
+stabilized limits along those sequences, and a failure to stabilize is
+always surfaced, never truncated silently.  A chart is one shared
+coxeter.Tessellation per (k, m) read to a word-length radius: a chamber
+is stepped when a walk or a ray first reaches it, none is realized
+(geomrender traces in each chamber's own frame), and no CoxeterBall is
+built.  geomrender and rabuilding are imported by the functions that
+trace, make charts or colour apartments, so distances alone load
+neither.
 """
 
 from __future__ import annotations
@@ -70,11 +74,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import geomrender as gr
-from . import rabuilding as rb
 from .chamber import validate
-from .coxeter import CoxeterBall
-from .geomrender import LeftBall, NearVertex
+from .coxeter import Tessellation
 from .weights import WeightVector
 
 
@@ -248,27 +249,37 @@ def gromov(G, x, y, C):
 # a thin ball and its normal polygon: all that geomrender.locate and
 # trace read
 Apartment = namedtuple("Apartment", "ball polygon")
+# a chart's thin ball: a Tessellation's words, step and word problem,
+# read to a word-length radius
+ChartBall = namedtuple("ChartBall", "words step system radius")
 
 _REALIZED_CACHE = {}
 
 
 def realized_apartment(spec, radius):
-    """The thin tessellation ball of the spec's Coxeter system with its
-    normal polygon (shared cache; geometry does not depend on
-    thickness).  No chamber is realized: rays are traced in chamber
-    frames."""
-    key = (spec.k, spec.m, radius)
+    """The apartment chart of the spec's Coxeter system to a word-length
+    radius: its chambers are those of word length <= radius.  One
+    coxeter.Tessellation and normal polygon per (k, m) serve every
+    radius (geometry does not depend on thickness); the tessellation
+    steps a chamber when a walk or a ray first reaches it, so chart
+    chamber ids are discovery order.  No chamber is realized: rays are
+    traced in chamber frames."""
+    from . import geomrender as gr
+
+    key = (spec.k, spec.m)
     if key not in _REALIZED_CACHE:
         thin = validate(spec.k, spec.m)
-        _REALIZED_CACHE[key] = Apartment(CoxeterBall(thin, radius), gr.normal_polygon(thin))
-    return _REALIZED_CACHE[key]
+        _REALIZED_CACHE[key] = Tessellation(thin), gr.normal_polygon(thin)
+    tess, polygon = _REALIZED_CACHE[key]
+    return Apartment(ChartBall(tess.words, tess.step, tess.system, radius), polygon)
 
 
 class ApartmentChart:
-    """An apartment (thin ball and polygon) laid into the host: its
-    origin on the host chamber `coloring.base` and each wall colored by
-    `coloring` (an rb.ApartmentColoring).  With no coloring, the origin
-    lies on the base chamber and every wall has color 1."""
+    """An apartment (a chart made by realized_apartment, or any thin
+    ball with its polygon) laid into the host: its origin on the host
+    chamber `coloring.base` and each wall colored by `coloring` (an
+    rabuilding.ApartmentColoring).  With no coloring, the origin lies on
+    the base chamber and every wall has color 1."""
 
     def __init__(self, graph, realized, coloring=None):
         self.graph = graph
@@ -287,6 +298,9 @@ class ApartmentChart:
 
 
 def chart_for(graph, chart_radius=None, coloring=None):
+    """The host's apartment chart (realized_apartment) to word length
+    `chart_radius`, by default the host ball's radius + 3, laid in by
+    `coloring`."""
     radius = chart_radius if chart_radius is not None else graph.ball.radius + 3
     return ApartmentChart(graph, realized_apartment(graph.spec, radius), coloring)
 
@@ -304,6 +318,7 @@ class RaySpec:
     theta: float
     tangent: tuple = None
     _chambers: list = field(default=None, repr=False)
+    _labels: list = field(default=None, repr=False)
     _key: tuple = field(default=None, repr=False)
     _seq: list = field(default=None, repr=False)
 
@@ -317,8 +332,11 @@ class RaySpec:
 
     def chart_chambers(self):
         """Chart chambers along the ray: start chamber, then each chamber
-        entered, up to the chart boundary."""
+        entered, up to the chart boundary.  The label of each crossing is
+        kept for chamber_sequence."""
         if self._chambers is None:
+            from . import geomrender as gr
+
             realized = self.chart.realized
             crossings = gr.trace(
                 realized, self.base, self.theta, 1e9,
@@ -327,10 +345,11 @@ class RaySpec:
             if crossings:
                 # the first crossing leads back to the start across its edge
                 label, first, _t = crossings[0]
-                start = realized.ball.rmul[first][label - 1]
+                start = realized.ball.step(first, label)
             else:
                 start = gr.locate(realized, self.base)
             self._chambers = [start] + [c for _lbl, c, _t in crossings]
+            self._labels = [lbl for lbl, _c, _t in crossings]
         return self._chambers
 
     def chamber_sequence(self):
@@ -342,13 +361,13 @@ class RaySpec:
         word grows, and by its inverse (s, q_s + 1 - c) when it shrinks."""
         if self._seq is None:
             chambers, chart = self.chart_chambers(), self.chart
-            host, thin, coloring = chart.graph.ball, chart.realized.ball, chart.coloring
+            host, words, coloring = chart.graph.ball, chart.realized.ball.words, chart.coloring
             seq, h = [], chart.host_of(chambers[0])
-            for prev, c in zip([None] + chambers, chambers):
+            for s, prev, c in zip([None] + self._labels, [None] + chambers, chambers):
                 if prev is not None:
-                    w, s = thin.words[prev], thin.rmul[prev].index(c) + 1
+                    w = words[prev]
                     color = coloring.color(w, s) if coloring else 1
-                    if len(thin.words[c]) < len(w):
+                    if len(words[c]) < len(w):
                         color = host.thickness[s - 1] + 1 - color
                     h = host.step(h, s, color)
                 if h is None:
@@ -505,6 +524,8 @@ def _wall_frame(realized, label):
     """Points and directions for the wall geodesic through edge `label`
     of the base chamber: a base point on the wall and the unit tangent
     along it."""
+    from . import geomrender as gr
+
     polygon = realized.polygon
     va, vb = polygon.edge_endpoints(label)
     mid = gr._normalize_point(tuple(va[i] + vb[i] for i in range(3)))
@@ -517,6 +538,8 @@ def _offset_point(p, direction, dist_along, normal, dist_off):
     """Point at arc length `dist_along` along `direction` from p, then
     pushed `dist_off` along `normal` (both tangent vectors at p are
     transported crudely by re-normalization; adequate for small offsets)."""
+    from . import geomrender as gr
+
     x = gr.geodesic_point(p, direction, dist_along)
     x = gr._normalize_point(x)
     # transport the normal: project to the tangent space at x
@@ -541,6 +564,8 @@ def detect_skeleton_experiment(G, line, samples=24, seed=0):
     """
     import random
 
+    from . import geomrender as gr
+
     rng = random.Random(seed)
     results = []
     errors = []
@@ -554,7 +579,7 @@ def detect_skeleton_experiment(G, line, samples=24, seed=0):
         xi1, xi2, eta1, eta2, meta = quad
         try:
             val = cross_ratio(G, xi1, xi2, eta1, eta2, 0)
-        except (NoStabilization, NearVertex, LeftBall) as exc:
+        except (NoStabilization, gr.NearVertex, gr.LeftBall) as exc:
             errors.append({"sample": idx, "error": type(exc).__name__})
             continue
         results.append({"sample": idx, "meta": meta, "value": val})
@@ -582,6 +607,8 @@ def detect_skeleton_experiment(G, line, samples=24, seed=0):
 def _panel_charts(G, chart, chart_chamber, label):
     """Charts covering every host chamber of the panel across `label` of
     the given chart chamber (for a thin host, just the one chart)."""
+    from . import rabuilding as rb
+
     ball = G.ball
     if ball.thickness[label - 1] == 1:
         return [(chart, None)]
@@ -602,6 +629,8 @@ def _panel_charts(G, chart, chart_chamber, label):
 def _rebase(G, chart, coloring, chart_chamber):
     """Shift an apartment coloring so that evaluating it along the chart
     words reproduces the chart's origin assignment for `chart_chamber`."""
+    from . import rabuilding as rb
+
     # coloring is based at the host image of chart_chamber; build a new
     # coloring whose alpha over the chart origin () agrees with walking
     # backwards from chart_chamber
@@ -621,6 +650,8 @@ def _skeleton_quadruples(G, label, samples, rng):
     """Quadruples of regular rays straddling the wall through edge
     `label` of the base chamber, entering varying chambers on each side
     (including off-apartment chambers of a thick building)."""
+    from . import geomrender as gr
+
     chart0 = chart_for(G)
     realized = chart0.realized
     mid, along = _wall_frame(realized, label)
@@ -655,6 +686,8 @@ def _skeleton_quadruples(G, label, samples, rng):
 
 
 def _generic_quadruples(G, theta, samples, rng):
+    from . import geomrender as gr
+
     chart = chart_for(G)
     realized = chart.realized
     inr = realized.polygon.inradius
@@ -677,6 +710,8 @@ def _generic_quadruples(G, theta, samples, rng):
 
 def _carrying_chamber(ray):
     """Host chamber whose interior carries the ray's base point."""
+    from . import geomrender as gr
+
     cc = gr.locate(ray.chart.realized, ray.base)
     if cc is None:
         raise NoApartment("ray base not inside the carrying apartment")
@@ -687,6 +722,8 @@ def _stays_off_wall(ray, refl):
     """True when the ray's traced chart chambers all lie on one side of
     the wall of the reflection `refl` (the disjointness hypothesis,
     checked at the traced horizon)."""
+    from . import geomrender as gr
+
     try:
         chambers = ray.chart_chambers()
     except (gr.NearVertex, gr.LeftBall):
@@ -699,6 +736,8 @@ def _stays_off_wall(ray, refl):
 def _side_probes(G, chart0, label, off, back, tilt, mid, along, normal):
     """Probe rays toward the far end of the wall, entering distinct
     chambers of a far panel (including branch chambers of a building)."""
+    from . import geomrender as gr
+
     realized = chart0.realized
     theta_pos = math.atan2(along[2], along[1])
     probes = []
@@ -759,6 +798,8 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
     """
     import random
 
+    from . import geomrender as gr
+
     rng = random.Random(seed)
     chart0 = chart_for(G)
     realized = chart0.realized
@@ -814,7 +855,7 @@ def detect_side_experiment(G, sigma_label, xi1=None, xi2=None, configs=20, seed=
         try:
             probes = _side_probes(G, chart0, label, off, back, tilt, mid, along, normal)
             record = _side_record(G, refl, xi[0], xi[1], probes)
-        except (NoStabilization, NearVertex, LeftBall, NoApartment) as exc:
+        except (NoStabilization, gr.NearVertex, gr.LeftBall, NoApartment) as exc:
             records.append({"error": type(exc).__name__})
             continue
         record["kind"] = kind

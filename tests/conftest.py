@@ -2,7 +2,7 @@ import pytest
 
 from hypbuild import geomrender as gr
 from hypbuild.chamber import validate
-from hypbuild.coxeter import ChamberComplex
+from hypbuild.coxeter import ChamberComplex, CoxeterBall
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +51,14 @@ def no_realize(monkeypatch):
 
     monkeypatch.setattr(gr, "realize", refuse)
     monkeypatch.setattr(gr.RealizedBall, "__init__", refuse)
+
+
+@pytest.fixture
+def no_coxeter_ball(monkeypatch):
+    """Make building a CoxeterBall raise, for tests of code paths whose
+    apartment charts must step a Tessellation on demand."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a CoxeterBall was built")
+
+    monkeypatch.setattr(CoxeterBall, "__init__", refuse)

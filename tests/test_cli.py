@@ -101,6 +101,50 @@ def test_non_finite_ray_angle_is_a_usage_error(capsys, argv, flag, value):
     assert err == "error: %s %s is not a finite angle\n" % (flag, float(value))
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+1"])
+@pytest.mark.parametrize("argv", [
+    ["busemann", "--cp", "1", "--theta", "{}"],
+    ["detect-skeleton", "--samples", "2", "--theta", "{}"],
+    ["crossratio", "--thetas", "{},1,2,3"],
+], ids=["busemann", "detect-skeleton", "crossratio"])
+def test_negative_angle_in_exponent_form_parses(capsys, argv, value):
+    # a space-separated angle gives the report of the "=" form
+    rest = ["--chamber", "3;2,3,8", "--radius", "2"]
+    code = cli.main(["metrics", *[a.format(value) for a in argv], *rest])
+    out = capsys.readouterr().out
+    glued = argv[:-2] + ["%s=%s" % (argv[-2], argv[-1].format(value))]
+    assert code == 0
+    assert (code, out) == (cli.main(["metrics", *glued, *rest]), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["busemann", "--cp", "1", "--theta", "-x"],
+    ["crossratio", "--thetas", "-x,1,2,3"],
+    ["busemann", "--cp", "1", "--theta"],
+], ids=["busemann", "crossratio", "missing"])
+def test_non_numeric_angle_is_still_a_usage_error(capsys, argv):
+    code = cli.main(["metrics", *argv, "--chamber", "3;2,3,8", "--radius", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["crossratio", "--thetas", "0.3,1.9,3.4,5.0"], 0),
+    (["busemann", "--cp", "1", "--theta", "0.7"], 0),
+    (["detect-skeleton", "--label", "1", "--samples", "6"], 1),  # R=4 misses -1/2 log 2
+    (["detect-side", "--label", "1", "--samples", "2"], 0),
+], ids=["crossratio", "busemann", "detect-skeleton", "detect-side"])
+def test_ray_commands_build_no_coxeter_ball(capsys, monkeypatch, no_coxeter_ball, argv, exit_code):
+    # a fresh chart cache, so the chart is made under the hook
+    monkeypatch.setattr(mt, "_REALIZED_CACHE", {})
+    code, rep = run(capsys, "metrics", *argv, "--chamber", "5;2,2,2,2,2;2,2,2,2,2",
+                    "--host", "building", "--radius", "4")
+    assert code == exit_code
+    assert rep["results"] and not rep["witnesses"]
+
+
 @pytest.mark.parametrize("sub,chamber,label", [
     ("detect-skeleton", "3;2,3,8", "0"),  # not the generic line
     ("detect-side", "3;2,3,8", "0"),  # not label 1
@@ -425,7 +469,7 @@ IMPORT_PINS = [
     (["building", "ball", "--chamber", "5;2,2,2,2,2;2,2,2,2,2", "--radius", "1"],
      {"chamber", "cli", "coxeter", "rabuilding", "weights"}),
     (["metrics", "dist", "--chamber", "3;2,3,8", "--radius", "1"],
-     {"chamber", "cli", "coxeter", "geomrender", "metrics", "rabuilding", "weights"}),
+     {"chamber", "cli", "coxeter", "metrics", "weights"}),
     (["catalog", "claims", "--chamber", "3;2,6,6"],
      {"catalog", "chamber", "cli", "coxeter", "weights"}),
     (["render", "--chamber", "3;2,3,8", "--radius", "1", "--out", "{tmp}/ball.svg"],

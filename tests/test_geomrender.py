@@ -6,7 +6,7 @@ import pytest
 
 from hypbuild import geomrender as gr, metrics as mt
 from hypbuild.chamber import ChamberSpec, area, validate
-from hypbuild.coxeter import CoxeterBall, Tessellation
+from hypbuild.coxeter import CoxeterBall
 
 
 @pytest.fixture(scope="module")
@@ -332,21 +332,27 @@ def _reference_trace(realized, base, theta, length, tangent=None, stop_at_bounda
     raise gr.ToleranceFail("trace did not terminate")
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, realized, *args, **kwargs):
+    """The crossings as (label, word of the chamber entered, t), or the
+    exception's type and message."""
     try:
-        return fn(*args, **kwargs)
+        crossings = fn(realized, *args, **kwargs)
     except (gr.NearVertex, gr.LeftBall, gr.ToleranceFail) as exc:
         return type(exc), str(exc)
+    return [(label, realized.ball.words[c], t) for label, c, t in crossings]
 
 
 @pytest.mark.parametrize("k,m,radius", [
     (3, (2, 3, 8), 6), (4, (2, 4, 2, 6), 6), (5, (2, 2, 2, 2, 2), 7),
 ])
 def test_trace_kernel_matches_the_helper_trace(k, m, radius):
-    """Same crossings (labels, chambers, t compared with ==) and the same
-    exceptions as the helper-composed loop, with and without
-    stop_at_boundary, on 200 seeded rays per chart."""
-    chart = mt.realized_apartment(validate(k, m), radius)
+    """Same crossings (labels, chamber words, t compared with ==) and the
+    same exceptions as the helper-composed loop, with and without
+    stop_at_boundary, on 200 seeded rays per chart.  The kernel steps the
+    on-demand chart; the helper loop reads a full CoxeterBall's table."""
+    spec = validate(k, m)
+    chart = mt.realized_apartment(spec, radius)
+    full = mt.Apartment(CoxeterBall(spec, radius), chart.polygon)
     inr = chart.polygon.inradius
     rng = random.Random(17 * k + radius)
     kinds = {}
@@ -357,7 +363,7 @@ def test_trace_kernel_matches_the_helper_trace(k, m, radius):
         tangent = gr.tangent_at(base, theta + 0.5) if n % 4 == 3 else None
         length = 1e9 if n % 2 else rng.uniform(0.1, 4.0)
         for stop in (True, False):
-            want = _outcome(_reference_trace, chart, base, theta, length, tangent, stop)
+            want = _outcome(_reference_trace, full, base, theta, length, tangent, stop)
             got = _outcome(gr.trace, chart, base, theta, length, tangent, stop)
             assert got == want
             kind = want[0].__name__ if isinstance(want, tuple) else "crossings"
@@ -370,19 +376,6 @@ def test_trace_kernel_matches_the_helper_trace(k, m, radius):
 # ---------------------------------------------------------------------------
 # precision oracle: the pentagon billiard at 60 digits
 # ---------------------------------------------------------------------------
-
-class _Endless:
-    """A thin chart ball whose table never ends: each row is stepped on
-    the tessellation when it is read."""
-
-    def __init__(self, spec):
-        self.tess = Tessellation(spec)
-        self.words = self.tess.words
-        self.rmul = self
-
-    def __getitem__(self, c):
-        return [self.tess.step(c, g) for g in range(1, self.tess.k + 1)]
-
 
 def _dec_pentagon():
     """The right-angled regular pentagon at 60 digits: vertex j at
@@ -461,7 +454,7 @@ def test_float_trace_agrees_with_a_60_digit_trace(pentagon):
     up to a crossing near a vertex that both traces reject.  The arc
     lengths drift apart as geodesics diverge, about e^t times the float
     rounding."""
-    chart = mt.Apartment(_Endless(pentagon), gr.normal_polygon(pentagon))
+    chart = mt.realized_apartment(pentagon, math.inf)  # a chart that never ends
     D = decimal.Decimal
     rng = random.Random(60)
     full = 0

@@ -744,6 +744,36 @@ def test_traced_rays_never_revisit_a_chamber(k, m, radius):
     assert traced >= 990
 
 
+@pytest.mark.parametrize("k,m,radius", [(3, (2, 3, 8), 4), (4, (2, 4, 2, 6), 3), (5, (2,) * 5, 3)])
+def test_on_demand_chart_matches_a_full_ball_chart(k, m, radius):
+    # seeded rays through the default chart, stepped on demand, and
+    # through a full CoxeterBall of the same radius: the same chart words
+    # and host chambers, or the same NearVertex or LeftBall
+    spec = validate(k, m)
+    G = mt.DualGraph(CoxeterBall(spec, radius))
+    chart = mt.chart_for(G)
+    polygon = chart.realized.polygon
+    full = mt.ApartmentChart(G, mt.Apartment(CoxeterBall(spec, radius + 3), polygon))
+    rng = random.Random(25 * k + radius)
+    kinds = {}
+    for _ in range(150):
+        phi, d = rng.uniform(0, 2 * math.pi), rng.uniform(0, 12) * polygon.inradius
+        base = (math.cosh(d), math.sinh(d) * math.cos(phi), math.sinh(d) * math.sin(phi))
+        theta = rng.uniform(0, 2 * math.pi)
+        outcomes = []
+        for c in (chart, full):
+            ray = _ray(c, base, theta)
+            try:
+                words = [c.realized.ball.words[x] for x in ray.chart_chambers()]
+                outcomes.append((words, ray.chamber_sequence()))
+            except (gr.NearVertex, gr.LeftBall) as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+        assert outcomes[0] == outcomes[1]
+        kind = outcomes[0][0] if isinstance(outcomes[0][0], str) else "ray"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["ray"] > 60 and kinds.get("LeftBall", 0) > 5
+
+
 # sha256 of the cross ratios, Busemann values and host sequences of the
 # benchmark's 240 stored boundary quadruples (perfbench/inputs)
 STORED_BOUNDARY_SHA256 = "207403bd7be78ede604fca3da13bed74a5462c14161e1cc2ff215119516fca41"
