@@ -24,6 +24,17 @@ Two independent engines are provided and cross-checked:
 * a brute-force enumerator of edge-connected chamber sets filtered to
   convex disks (every boundary vertex angle <= pi).
 
+The start vertex types are ranked by gonality m, highest first, ties by
+label.  A walk started at rank r turns a corner only at a vertex whose
+type has rank >= r; it goes straight through any vertex, and its closing
+turn at the start vertex is unchanged.  No class is lost: every circuit
+has a corner of least rank, and the walk started at that corner's type
+allows all of the circuit's other corners.  No class is added, as the
+rule only removes walks.  Each class is then built once: a closed
+circuit's chamber set is keyed by its canonical form first, and the
+entry (or the verdict that the set is none) is kept under that key, as
+translates share it.
+
 The search runs on integers only: corner angles and A0 are counted in
 units of pi/L with L = lcm(m), so the cap and the closing test
 d = n * A0 are an integer quotient and a divisibility test, and each
@@ -210,12 +221,13 @@ def _boundary_walk(T, disk):
     return vseq, eseq
 
 
-def build_entry(T, S, shape):
+def build_entry(T, S, shape, key=None):
     """Construct the catalog entry for a chamber set bounding a convex
     disk whose boundary is a `shape` ("triangle" or "quadrilateral");
     returns None if the set does not qualify.  Angles are counted in
     units of pi/L, as in the search, and Gauss-Bonnet d = n * A0 is
-    checked on every entry."""
+    checked on every entry.  `key` is S's canonical form, when the
+    caller has it already."""
     disk = _disk_from_chambers(T, S)
     if disk is None:
         return None
@@ -223,13 +235,13 @@ def build_entry(T, S, shape):
     # convexity: every boundary vertex angle cnt*pi/m <= pi; corners
     # where < pi, kept as the angle cnt/m in lowest terms
     corners = {}
-    for key, (rec, cnt) in binfo.items():
+    for v, (rec, cnt) in binfo.items():
         m = rec["m"]
         if cnt > m:
             return None
         if cnt < m:
             g = gcd(cnt, m)
-            corners[key] = (cnt // g, m // g, m, cnt)
+            corners[v] = (cnt // g, m // g, m, cnt)
     if len(corners) != {"triangle": 3, "quadrilateral": 4}[shape]:
         return None
     vseq, eseq = _boundary_walk(T, disk)
@@ -276,7 +288,7 @@ def build_entry(T, S, shape):
         n=n,
         defect=RationalAngle(d, L),
         code=best,
-        key=T.canonical_form(S),
+        key=T.canonical_form(S) if key is None else key,
         rep=tuple(sorted(S)),
     )
 
@@ -358,9 +370,11 @@ def _side_search(spec, n_corners, step_cap):
         S = _flood_fill(T, interior, bpairs, n_target)
         if S is None or len(S) != n_target:
             return
-        entry = build_entry(T, S, shape)
-        if entry is not None and entry.key not in results:
-            results[entry.key] = entry
+        # translates share their verdict, so each class is built once,
+        # and a set that is no entry is kept as None
+        key = T.canonical_form(S)
+        if key not in results:
+            results[key] = build_entry(T, S, shape, key)
 
     def walk(head_rec, in_edge, left_ch, corners_left, interior, angle_sum,
              visited):
@@ -386,9 +400,10 @@ def _side_search(spec, n_corners, step_cap):
         if len(all_edges) >= (spec.k - 2) * ncap + 2:
             return
         visited.add(key)
-        # straight (t = m) plus corner turns (t = 1..m-1) on the interior side
+        # straight (t = m) plus corner turns (t = 1..m-1) on the interior
+        # side, the turns only at a vertex type ranked at or after the start
         turn_opts = [m]
-        if corners_left > 1:
+        if corners_left > 1 and rank[head_rec["j"]] >= start_rank:
             turn_opts.extend(range(1, m))
         for t, swept, out_edge, new_left in turns(
             head_rec, in_edge, left_ch, turn_opts
@@ -410,14 +425,17 @@ def _side_search(spec, n_corners, step_cap):
             all_edges.pop()
         visited.discard(key)
 
-    for j in range(1, spec.k + 1):
+    # vertex types by gonality, highest first, ties by label
+    ranked = sorted(range(1, spec.k + 1), key=lambda j: (-spec.m_at_vertex(j), j))
+    rank = {j: r for r, j in enumerate(ranked)}
+    for start_rank, j in enumerate(ranked):
         v0rec = T.vertex(0, j)
         for start_edge, start_left in zip(v0rec["edges"][:2], v0rec["chams"]):
             wa, wb = T.edge_endpoints(start_edge)
             nxt = wa if wa["key"] != v0rec["key"] else wb
             all_edges = [start_edge]
             walk(nxt, start_edge, start_left, n_corners, set(), 0, set())
-    return results
+    return {key: entry for key, entry in results.items() if entry is not None}
 
 
 def enumerate_triangles(spec, step_cap=30_000_000):

@@ -68,17 +68,30 @@ def _spec_of(args, thin=False):
     return spec
 
 
+def _weights_of(args, spec):
+    """The --q weights, one integer >= 1 per edge label, or None."""
+    if args.q is None:
+        return None
+    if args.host != "apartment":
+        raise UsageError("--q overrides weights on an apartment host only; "
+                         "a building's thickness comes from --chamber")
+    try:
+        q = [int(w) for w in args.q.split(",")]
+    except ValueError:
+        q = []
+    if len(q) == spec.k and min(q) >= 1:
+        return q
+    raise UsageError("--q %s is not %d comma-separated integers >= 1, one per edge label"
+                     % (args.q, spec.k))
+
+
 def _graph_of(args, spec):
     from . import metrics as mt
     from .coxeter import CoxeterBall
 
+    q = _weights_of(args, spec)
     if args.host == "apartment":
-        ball = CoxeterBall(validate(spec.k, spec.m), args.radius)
-        q = [int(x) for x in args.q.split(",")] if args.q else None
-        return mt.DualGraph(ball, q=q)
-    if args.q:
-        raise UsageError("--q overrides weights on an apartment host only; "
-                         "a building's thickness comes from --chamber")
+        return mt.DualGraph(CoxeterBall(validate(spec.k, spec.m), args.radius), q=q)
     from . import rabuilding as rb
 
     return mt.DualGraph(rb.ball(spec, args.radius))
@@ -545,18 +558,18 @@ def _build_parser():
 
 
 # argparse reads a word after a flag as its value only when the word does
-# not look like an option; "-0.5" passes, "-1e-3" does not
-_ANGLE_FLAGS = ("--theta", "--thetas")
+# not look like an option; "-0.5" passes, "-1e-3" and "-2,3,5" do not
+_SIGNED_FLAGS = ("--theta", "--thetas", "--q")
 
 
-def _glue_angles(argv):
-    """argv with each angle flag glued to the word after it, as
-    "--theta=-1e-3", so that word is the flag's value even when it starts
-    with one "-"; a next word that starts with "--" is left to be the
-    next flag."""
+def _glue_values(argv):
+    """argv with each flag that takes a signed value glued to the word
+    after it, as "--theta=-1e-3", so that word is the flag's value even
+    when it starts with one "-"; a next word that starts with "--" is left
+    to be the next flag."""
     out = []
     for word in argv:
-        if out and out[-1] in _ANGLE_FLAGS and not word.startswith("--"):
+        if out and out[-1] in _SIGNED_FLAGS and not word.startswith("--"):
             out[-1] += "=" + word
         else:
             out.append(word)
@@ -566,7 +579,7 @@ def _glue_angles(argv):
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_angles(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     config = {

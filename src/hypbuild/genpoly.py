@@ -201,7 +201,7 @@ def verify(adj, color, m, require_thick=False):
     for e, idxs in edge_cycles.items():
         idxs = sorted(idxs)
         for i1, i2 in itertools.combinations(idxs, 2):
-            if not _rigid_gluing(cycles[i1], cycles[i2]):
+            if not _rigid_gluing(cycles[i1], cycles[i2], e):
                 raise GenPolyError(
                     "AxiomFail",
                     "circuits %d, %d share %r but no isomorphism fixes the intersection"
@@ -211,31 +211,22 @@ def verify(adj, color, m, require_thick=False):
     return poly
 
 
-def _rigid_gluing(c1, c2):
-    """Is there a cycle isomorphism c1 -> c2 fixing V(c1) & V(c2) pointwise
-    and mapping shared edges to themselves?"""
+def _rigid_gluing(c1, c2, edge):
+    """Is there a cycle isomorphism c1 -> c2 fixing V(c1) & V(c2)
+    pointwise?  Both circuits run through the shared edge (a, b), and a
+    cycle isomorphism is fixed by the image of one edge, so only the map
+    that aligns the circuits along (a, b) can fix a and b; it maps every
+    shared edge to itself once it fixes the shared vertices."""
+    a, b = edge
     n = len(c1)
-    shared_v = set(c1) & set(c2)
-    e2 = _cycle_edges(c2)
-    shared_e = _cycle_edges(c1) & e2
-    doubled = c2 + c2
-    candidates = []
-    for i in range(n):
-        candidates.append(tuple(doubled[i : i + n]))
-        candidates.append(tuple(reversed(doubled[i : i + n])))
-    for image in candidates:
-        phi = dict(zip(c1, image))
-        if any(phi[v] != v for v in shared_v if v in phi):
-            continue
-        # already a cycle isomorphism by construction; shared edges fixed
-        ok = True
-        for (a, b) in shared_e:
-            if tuple(sorted((phi[a], phi[b]))) != (a, b):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    i, j = c1.index(a), c2.index(a)
+    di = 1 if c1[(i + 1) % n] == b else -1
+    dj = 1 if c2[(j + 1) % n] == b else -1
+    shared = set(c1).intersection(c2)
+    return all(
+        c2[(j + dj * t) % n] == c1[(i + di * t) % n]
+        for t in range(n) if c1[(i + di * t) % n] in shared
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,39 +316,6 @@ def opposite_set(poly, v):
     """All vertices at distance exactly m from v."""
     dist = poly.distance(v)
     return sorted(w for w, d in dist.items() if d == poly.m)
-
-
-def common_opposite(poly, v1, v2):
-    """A vertex opposite to both v1 and v2 (same type); existence is a
-    theorem for thick polygons, so a miss aborts the run."""
-    if poly.color[v1] != poly.color[v2]:
-        raise GenPolyError("FormatError", "vertices must share a type")
-    opp = set(opposite_set(poly, v1)) & set(opposite_set(poly, v2))
-    if not opp:
-        raise GenPolyError(
-            "NoneFound", "no common opposite of %r, %r (axiom violation)" % (v1, v2)
-        )
-    return min(opp)
-
-
-def apartment_opposite_vertex(poly, apartment):
-    """A vertex opposite to every vertex of the apartment of the
-    compatible type (same type for even m, other type for odd m)."""
-    if poly.m not in (3, 4):
-        raise GenPolyError("UnsupportedParameter", "scan implemented for m in {3,4}")
-    if poly.params is None:
-        raise GenPolyError("NotThick", "thin polygon")
-    apartment = tuple(apartment)
-    for v in poly.vertices():
-        dist = poly.distance(v)
-        want = [
-            a
-            for a in apartment
-            if (poly.color[a] == poly.color[v]) == (poly.m % 2 == 0)
-        ]
-        if want and all(dist[a] == poly.m for a in want):
-            return v
-    raise GenPolyError("NoneFound", "no apartment-opposite vertex (axiom violation)")
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +427,6 @@ def _edge_at(cycle, v, exclude):
 # ---------------------------------------------------------------------------
 # exchange format
 # ---------------------------------------------------------------------------
-
-def to_text(poly):
-    lines = []
-    for v in poly.vertices():
-        lines.append(("p %s" if poly.color[v] == 0 else "l %s") % v)
-    for (x, y) in poly.edges():
-        p, l = (x, y) if poly.color[x] == 0 else (y, x)
-        lines.append("i %s %s" % (p, l))
-    return "\n".join(lines) + "\n"
-
 
 def from_text(text):
     """Parse the `p/l/i` exchange format into (adj, color)."""

@@ -128,9 +128,6 @@ class WeightVector:
     def is_zero(self):
         return not self._halves
 
-    def is_nonnegative(self):
-        return _sign(self._halves, {}) >= 0
-
     def multiple_of_half_log(self, q):
         """Is this an integer multiple of (1/2) log q?  Returns the
         multiple as an int, or None."""

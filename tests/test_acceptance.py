@@ -17,6 +17,7 @@ from hypbuild.chamber import area, validate
 from hypbuild.coxeter import CoxeterBall
 from hypbuild.weights import WeightVector
 
+from test_genpoly import apartment_opposite_vertex, common_opposite
 from test_geomrender import numeric_area
 
 LOG = WeightVector.log_int
@@ -305,7 +306,7 @@ def test_generalized_polygon_verifier_and_scans():
     # every apartment admits a vertex opposite to all its far vertices
     for poly in (fano, gq2):
         for ap in poly.apartments():
-            v = gp.apartment_opposite_vertex(poly, ap)
+            v = apartment_opposite_vertex(poly, ap)
             dist = poly.distance(v)
             for a in ap:
                 if (poly.color[a] == poly.color[v]) == (poly.m % 2 == 0):
@@ -315,7 +316,7 @@ def test_generalized_polygon_verifier_and_scans():
         for t in (0, 1):
             vs = [v for v in poly.vertices() if poly.color[v] == t]
             for v1, v2 in itertools.combinations(vs, 2):
-                w = gp.common_opposite(poly, v1, v2)
+                w = common_opposite(poly, v1, v2)
                 d = poly.distance(w)
                 assert d[v1] == poly.m and d[v2] == poly.m
 

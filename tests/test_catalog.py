@@ -302,6 +302,27 @@ def test_brute_force_oracle_agrees(k, m, shape):
     assert side == cat.brute_force_catalog(spec, shape, n_max=8)
 
 
+@pytest.mark.parametrize("m", [(2, 3, 8), (3, 3, 4), (2, 4, 6)])
+def test_relabelled_chambers_give_the_same_catalog(m):
+    # a rotation or a reflection of the labels is an isometry of the
+    # tessellation, so the class count and the (n, defect) list hold; the
+    # search's start order by gonality and label moves with the labels
+    a, b, c = m
+    relabelled = [(b, c, a), (c, a, b), (c, b, a)]
+
+    def profile(mm):
+        spec = validate(3, mm)
+        return [
+            sorted((e.n, e.defect) for e in enum(spec))
+            for enum in (cat.enumerate_triangles, cat.enumerate_quads)
+        ]
+
+    want = profile(m)
+    assert want[1]
+    for mm in relabelled:
+        assert profile(mm) == want
+
+
 def test_enumeration_deterministic(spec238):
     a = cat.enumerate_triangles(spec238)
     b = cat.enumerate_triangles(spec238)

@@ -11,6 +11,8 @@ from hypbuild import catalog as cat, cli, coxeter, geomrender as gr, metrics as 
 from hypbuild import rabuilding as rb
 from hypbuild.chamber import ChamberError, validate
 
+from test_genpoly import to_text
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -62,6 +64,17 @@ def test_q_on_building_host_is_a_usage_error(capsys):
     assert cli.main(argv + ["--q", "5,5,5,5,5"]) == 2
     assert capsys.readouterr().out == ""
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("q", ["-2,3,5", "0,2,3", "a", "2,3"],
+                         ids=["negative", "zero", "not-an-integer", "too-few"])
+def test_bad_q_is_a_usage_error_naming_the_flag(capsys, q):
+    code = cli.main(["metrics", "dist", "--chamber", "3;2,3,8", "--radius", "2",
+                     "--c", "0", "--cp", "3", "--q", q])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --q %s is not 3 comma-separated integers >= 1, one per edge label\n" % q
 
 
 @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
@@ -267,14 +280,29 @@ def test_catalog_report_bytes_pinned(capsys, argv, digest):
 
 def test_claims_tessellation_pinned(monkeypatch):
     # the chambers the (2,3,8) claims search grows, in the order it grows
-    # them, from an empty tessellation cache
+    # them, from an empty tessellation cache: the search's footprint,
+    # not a result
     monkeypatch.setattr(cat, "_TESS_CACHE", {})
     spec = validate(3, (2, 3, 8))
     cat.claims_check(spec)
     T = cat.tessellation(spec)
-    assert len(T) == 6068
+    assert len(T) == 3447
     digest = hashlib.sha256(repr(T.words).encode()).hexdigest()
-    assert digest == "654366b9fb6f3bd245c1a927adc2134c11f1cd933edfe267266830d0d9054802"
+    assert digest == "042242d88a76eb0b635828c2472349fe08a2d4d5da3a6683e1e43dfbde7e76ef"
+
+
+@pytest.mark.parametrize("sub,chamber", [("triangles", "3;2,4,8"), ("quads", "4;2,2,2,3")])
+def test_catalog_svg_dir_draws_each_entry_with_its_n_chambers(capsys, tmp_path, sub, chamber):
+    code, rep = run(capsys, "catalog", sub, "--chamber", chamber, "--svg-dir", str(tmp_path))
+    assert code == 0
+    entries = rep["results"]
+    assert entries
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "%s_%02d.svg" % (sub, i) for i in range(len(entries))
+    ]
+    for i, entry in enumerate(entries):
+        svg = (tmp_path / ("%s_%02d.svg" % (sub, i))).read_text()
+        assert svg.count('fill="#ffd9a0"') == entry["n"]
 
 
 def test_coxeter_ball_counts(capsys):
@@ -356,7 +384,7 @@ def test_genpoly_construct_and_verify_roundtrip(capsys, tmp_path):
 
     poly = gp.construct("quadrangle", 2)
     f = tmp_path / "gq2.txt"
-    f.write_text(gp.to_text(poly))
+    f.write_text(to_text(poly))
     code, rep = run(
         capsys, "genpoly", "verify", "--in", str(f), "--m", "4", "--thick"
     )

@@ -21,6 +21,70 @@ def gq2():
     return gp.construct("quadrangle", 2)
 
 
+# -- helpers with no caller in the library, kept as test oracles ------------
+
+def common_opposite(poly, v1, v2):
+    """A vertex opposite to both v1 and v2 (same type); existence is a
+    theorem for thick polygons, so a miss aborts the run."""
+    if poly.color[v1] != poly.color[v2]:
+        raise gp.GenPolyError("FormatError", "vertices must share a type")
+    opp = set(gp.opposite_set(poly, v1)) & set(gp.opposite_set(poly, v2))
+    if not opp:
+        raise gp.GenPolyError(
+            "NoneFound", "no common opposite of %r, %r (axiom violation)" % (v1, v2)
+        )
+    return min(opp)
+
+
+def apartment_opposite_vertex(poly, apartment):
+    """A vertex opposite to every vertex of the apartment of the
+    compatible type (same type for even m, other type for odd m)."""
+    if poly.m not in (3, 4):
+        raise gp.GenPolyError("UnsupportedParameter", "scan implemented for m in {3,4}")
+    if poly.params is None:
+        raise gp.GenPolyError("NotThick", "thin polygon")
+    apartment = tuple(apartment)
+    for v in poly.vertices():
+        dist = poly.distance(v)
+        want = [
+            a
+            for a in apartment
+            if (poly.color[a] == poly.color[v]) == (poly.m % 2 == 0)
+        ]
+        if want and all(dist[a] == poly.m for a in want):
+            return v
+    raise gp.GenPolyError("NoneFound", "no apartment-opposite vertex (axiom violation)")
+
+
+def to_text(poly):
+    """The `p/l/i` exchange format that `genpoly verify --in` reads."""
+    lines = []
+    for v in poly.vertices():
+        lines.append(("p %s" if poly.color[v] == 0 else "l %s") % v)
+    for (x, y) in poly.edges():
+        p, l = (x, y) if poly.color[x] == 0 else (y, x)
+        lines.append("i %s %s" % (p, l))
+    return "\n".join(lines) + "\n"
+
+
+def _rigid_gluing_any_map(c1, c2):
+    """Rigid gluing by trying all 2n cycle maps c1 -> c2: is there one
+    that fixes V(c1) & V(c2) pointwise and maps shared edges to
+    themselves?"""
+    n = len(c1)
+    shared_v = set(c1) & set(c2)
+    shared_e = gp._cycle_edges(c1) & gp._cycle_edges(c2)
+    doubled = c2 + c2
+    for i in range(n):
+        for image in (doubled[i:i + n], tuple(reversed(doubled[i:i + n]))):
+            phi = dict(zip(c1, image))
+            if all(phi[v] == v for v in shared_v) and all(
+                tuple(sorted((phi[a], phi[b]))) == (a, b) for a, b in shared_e
+            ):
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # constructors + verify
 # ---------------------------------------------------------------------------
@@ -128,6 +192,32 @@ def test_degree_anomaly_witnessed(fano):
     assert err.value.code == "AxiomFail"
 
 
+def test_rigid_gluing_matches_the_all_maps_oracle_on_gq2(gq2):
+    cycles = gq2.apartments()
+    pairs = 0
+    for e, idxs in gq2._cycles_by_edge.items():
+        for i1, i2 in itertools.combinations(sorted(idxs), 2):
+            c1, c2 = cycles[i1], cycles[i2]
+            assert gp._rigid_gluing(c1, c2, e) == _rigid_gluing_any_map(c1, c2)
+            pairs += 1
+    assert pairs > 1000
+
+
+@pytest.mark.parametrize("c2,rigid", [
+    (("a", "b", "c", "x", "y", "z"), True),
+    (("a", "b", "x", "y", "c", "z"), False),
+], ids=["rigid", "not-rigid"])
+def test_rigid_gluing_on_hand_made_six_cycles(c2, rigid):
+    # both circuits run a -> b; c follows b on the first and the rigid
+    # second, and sits across the circuit from b on the other
+    c1 = ("a", "b", "c", "d", "e", "f")
+    for image in (c2, c2[::-1]):  # the second runs b -> a
+        assert _rigid_gluing_any_map(c1, image) is rigid
+        for edge in (("a", "b"), ("b", "a")):
+            assert gp._rigid_gluing(c1, image, edge) is rigid
+            assert gp._rigid_gluing(image, c1, edge) is rigid
+
+
 def test_six_cycle_is_not_a_digon():
     cyc = ["a", "x", "b", "y", "c", "z"]
     adj = {v: (cyc[(i - 1) % 6], cyc[(i + 1) % 6]) for i, v in enumerate(cyc)}
@@ -183,7 +273,7 @@ def test_opposite_set_fano(fano):
 
 
 def test_common_opposite_fano(fano):
-    line = gp.common_opposite(fano, "p0", "p1")
+    line = common_opposite(fano, "p0", "p1")
     assert "p0" not in fano.adj[line] and "p1" not in fano.adj[line]
     # inclusion-exclusion: exactly 2 candidate lines miss both points
     missing = [
@@ -196,14 +286,14 @@ def test_common_opposite_fano(fano):
 
 def test_common_opposite_k33(k33):
     blacks = sorted(v for v in k33.vertices() if k33.color[v] == 0)
-    assert gp.common_opposite(k33, blacks[0], blacks[1]) == blacks[2]
+    assert common_opposite(k33, blacks[0], blacks[1]) == blacks[2]
 
 
 def test_common_opposite_quadrangle(gq2):
     # two collinear points
     line = next(v for v in gq2.vertices() if gq2.color[v] == 1)
     p1, p2 = gq2.adj[line][:2]
-    v = gp.common_opposite(gq2, p1, p2)
+    v = common_opposite(gq2, p1, p2)
     dist = gq2.distance(v)
     assert dist[p1] == 4 and dist[p2] == 4
 
@@ -214,7 +304,7 @@ def test_common_opposite_quadrangle(gq2):
 
 def test_apartment_opposite_vertex_full_scan_fano(fano):
     for ap in fano.apartments():
-        v = gp.apartment_opposite_vertex(fano, ap)
+        v = apartment_opposite_vertex(fano, ap)
         dist = fano.distance(v)
         for a in ap:
             if fano.color[a] != fano.color[v]:
@@ -223,7 +313,7 @@ def test_apartment_opposite_vertex_full_scan_fano(fano):
 
 def test_apartment_opposite_vertex_full_scan_gq2(gq2):
     for ap in gq2.apartments():
-        v = gp.apartment_opposite_vertex(gq2, ap)
+        v = apartment_opposite_vertex(gq2, ap)
         dist = gq2.distance(v)
         for a in ap:
             if gq2.color[a] == gq2.color[v]:
@@ -232,7 +322,7 @@ def test_apartment_opposite_vertex_full_scan_gq2(gq2):
 
 def test_apartment_opposite_rejects_digon(k33):
     with pytest.raises(gp.GenPolyError):
-        gp.apartment_opposite_vertex(k33, k33.apartments()[0])
+        apartment_opposite_vertex(k33, k33.apartments()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +425,7 @@ def test_apartments_convex_k33_fano(k33, fano):
 # ---------------------------------------------------------------------------
 
 def test_text_roundtrip(fano):
-    text = gp.to_text(fano)
+    text = to_text(fano)
     adj, color = gp.from_text(text)
     again = gp.verify(adj, color, 3)
     assert again.params == (2, 2)
