@@ -36,6 +36,11 @@ class UsageError(ValueError):
     pass
 
 
+# `metrics growth` counts a(n) at n = 0, step, 2 step, ... <= --n + 1e-9:
+# at most this many points, floor((n + 1e-9) / step) + 1
+GROWTH_GRID_CAP = 10_000
+
+
 def _jsonable(x):
     if hasattr(x, "to_json"):  # WeightVector
         return x.to_json()
@@ -295,6 +300,9 @@ def _cmd_metrics(args, config):
             raise UsageError("%s %s is not a finite angle" % (flag, theta))
     if args.sub == "growth" and not 0 <= args.n < math.inf:
         raise UsageError("--n %s is not a finite number >= 0" % args.n)
+    if args.sub == "growth" and (args.n + 1e-9) / args.step >= GROWTH_GRID_CAP:
+        raise UsageError("--step %s makes more than %d grid points up to --n %s"
+                         % (args.step, GROWTH_GRID_CAP, args.n))
     G = _graph_of(args, spec)
     for name in ("c", "cp", "x", "y"):
         idx = getattr(args, name, None)
@@ -330,12 +338,11 @@ def _cmd_metrics(args, config):
         if all(qi == 1 for qi in G.q):
             raise UsageError("every edge weighs log 1 = 0, so growth never certifies a count; "
                              "give an apartment host weights above 1 with --q")
-        values = []
-        step = args.step
+        values, growth_at = [], mt.growth_counter(G)
         n = 0.0
         while n <= args.n + 1e-9:
-            values.append({"n": n, "a": mt.growth(G, n)})
-            n += step
+            values.append({"n": n, "a": growth_at(n)})
+            n += args.step
         results = [{"growth": values}]
         if args.tau:
             est = mt.tau_estimate(G, args.tau)

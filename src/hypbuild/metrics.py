@@ -49,8 +49,16 @@ W-distance word ``ball.times(ball.inverse(C), C')``, with C^-1 kept per
 chamber, so a building host's misses make no word-problem call and
 normalize each C^-1 once.  A boundary Gromov table
 holds 2{C_i|D_j}_C = |C_i - C| + |D_j - C| - |C_i - D_j| as such ints,
-so stabilization compares ints, and only the stable value is unpacked
-and halved; Busemann sequences work the same way.
+so stabilization compares ints.  Only the base columns |C_i - C| depend
+on the base: a ray keeps one column per (graph, chamber) and one table
+of |C_i - D_j| per (graph, partner ray), so a quadruple's cross ratios at
+several bases, and the Busemann values B(C, D) (column D minus column
+C), read each wall sum once.  The stabilization scan (_stable_tail)
+reads the two columns and the pair table as it compares, so no table of
+products is formed.  A product keeps its stable value packed
+(Stabilized.twice); cross_ratio sums the four packed values and unpacks
+and halves once.  Every such field is a sum of a few wall sums' fields,
+each far below the 2^61 a packed field may hold.
 
 Boundary points are finite-horizon ray surrogates: a RaySpec traces a
 geodesic through an apartment chart and induces a chamber sequence in
@@ -68,11 +76,13 @@ neither.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .chamber import validate
 from .coxeter import Tessellation
@@ -305,13 +315,15 @@ def chart_for(graph, chart_radius=None, coloring=None):
     return ApartmentChart(graph, realized_apartment(graph.spec, radius), coloring)
 
 
-@dataclass
+@dataclass(eq=False)
 class RaySpec:
     """A finite-horizon boundary-point surrogate: a geodesic ray traced
     through an apartment chart from `base` in direction `theta` (or along
     an explicit unit `tangent`, which then replaces theta).  The ray is
     traced once; its chart chambers are kept for the host sequence and
-    for the wall-side test."""
+    for the wall-side test.  A ray is hashed by identity, and it keeps
+    the wall sums its products read (_column, _pair_table), so they live
+    no longer than the ray."""
 
     chart: ApartmentChart
     base: tuple
@@ -321,6 +333,9 @@ class RaySpec:
     _labels: list = field(default=None, repr=False)
     _key: tuple = field(default=None, repr=False)
     _seq: list = field(default=None, repr=False)
+    # (graph, chamber) -> column; (graph, partner ray) -> pair table
+    _columns: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     def direction_key(self):
         if self._key is None:
@@ -376,6 +391,32 @@ class RaySpec:
             self._seq = seq
         return self._seq
 
+    def _column(self, G, C):
+        """G.wall_code(C_i, C) along the host sequence, once per graph and
+        chamber: the base column of every product at C, and half of a
+        Busemann difference."""
+        col = self._columns.get((G, C))
+        if col is None:
+            code = G.wall_code
+            col = self._columns[G, C] = tuple([code(c, C) for c in self.chamber_sequence()])
+        return col
+
+
+def _pair_table(G, xi, eta, horizon):
+    """The wall sums G.wall_code(C_i, D_j), i, j < horizon, of two rays'
+    host sequences, built once per graph and ray pair, as one flat tuple
+    (entry i * horizon + j).  It is kept on the ray of lower id() only,
+    with that ray's chambers as rows, so rays never form a reference
+    cycle; returns (row ray, column ray, table)."""
+    a, b = (xi, eta) if id(xi) < id(eta) else (eta, xi)
+    table = a._tables.get((G, b))
+    if table is None:
+        code = G.wall_code
+        cols = b.chamber_sequence()[:horizon]
+        table = a._tables[G, b] = tuple(
+            [code(c, d) for c in a.chamber_sequence()[:horizon] for d in cols])
+    return a, b, table
+
 
 # ---------------------------------------------------------------------------
 # stabilized boundary quantities
@@ -383,9 +424,18 @@ class RaySpec:
 
 @dataclass(frozen=True)
 class Stabilized:
-    value: WeightVector
+    """A stabilized product: twice its value packed over `primes`, the
+    least index of its constant tail and the traced horizon.  `value`
+    unpacks and halves on first read."""
+
+    twice: int
+    primes: tuple
     index: int
     horizon: int
+
+    @cached_property
+    def value(self):
+        return WeightVector.unpack(self.twice, self.primes).halve().shared()
 
 
 _MIN_TAIL = 2
@@ -400,45 +450,42 @@ def boundary_gromov(G, xi, eta, C):
     """Stabilized boundary Gromov product {xi|eta}_C: the double sequence
     {C_i|D_j}_C along the two ray chamber sequences, required constant
     from some index on through the traced horizon.  The table holds
-    twice each product as an int, from packed wall sums (wall_code);
-    only the stable value is unpacked and halved."""
+    twice each product as an int, |C_i - C| + |D_j - C| - |C_i - D_j|:
+    the base columns (RaySpec._column) plus the pair's wall sums
+    (_pair_table), both shared by every base.  A table built with eta's
+    chambers as rows is the transpose, which has the same constant tail."""
     _require_distinct(xi, eta)
     Ci = xi.chamber_sequence()
     Dj = eta.chamber_sequence()
     horizon = min(len(Ci), len(Dj))
     if horizon < _MIN_TAIL + 1:
         raise NoStabilization("ray horizon too short", (len(Ci), len(Dj)))
-    code = G.wall_code
-    Ci, Dj = Ci[:horizon], Dj[:horizon]
-    dC = [code(c, C) for c in Ci]
-    dD = [code(d, C) for d in Dj]
-    vals = [[dc + dd - code(c, d) for d, dd in zip(Dj, dD)] for c, dc in zip(Ci, dC)]
-    twice, index = _stable_tail(vals)
+    a, b, table = _pair_table(G, xi, eta, horizon)
+    twice, index = _stable_tail(a._column(G, C), b._column(G, C), table, horizon)
     if index >= horizon - _MIN_TAIL:
         raise NoStabilization(
             "boundary Gromov product did not stabilize within the horizon",
             {"horizon": horizon},
         )
-    value = WeightVector.unpack(twice, G.primes).halve().shared()
-    return Stabilized(value=value, index=index, horizon=horizon)
+    return Stabilized(twice=twice, primes=G.primes, index=index, horizon=horizon)
 
 
-def _stable_tail(vals):
-    """The value and the least index i0 of the constant tail of a square
-    table: vals[i][j] is the same for all i, j >= i0.
+def _stable_tail(da, db, table, h):
+    """The value and the least index i0 of the constant tail of the
+    h x h table vals[i][j] = da[i] + db[j] - table[i * h + j]: vals[i][j]
+    is the same for all h > i, j >= i0.
 
-    The tails are scanned from the last index down, in O(h^2): tail i0 is
-    constant exactly when tail i0 + 1 is and row i0 and column i0 of tail
-    i0 carry its value, so the scan stops at the first failure."""
-    h = len(vals)
-    value = vals[h - 1][h - 1]
-    index = h - 1
+    The tails are scanned from the last index down, in O(h^2), and no
+    entry is formed before it is compared: tail i0 is constant exactly
+    when tail i0 + 1 is and row i0 and column i0 of tail i0 carry its
+    value, so the scan stops at the first failure."""
+    value = da[h - 1] + db[h - 1] - table[h * h - 1]
     for i0 in range(h - 2, -1, -1):
-        row = vals[i0]
-        if not all(row[j] == value and vals[j][i0] == value for j in range(i0, h)):
-            break
-        index = i0
-    return value, index
+        x, y, r = da[i0] - value, db[i0] - value, i0 * h
+        for j in range(i0, h):
+            if x + db[j] != table[r + j] or da[j] + y != table[j * h + i0]:
+                return value, i0 + 1
+    return value, 0
 
 
 def busemann(G, xi, C, D):
@@ -449,8 +496,7 @@ def busemann(G, xi, C, D):
     horizon = len(Ci)
     if horizon < _MIN_TAIL + 1:
         raise NoStabilization("ray horizon too short", horizon)
-    code = G.wall_code
-    vals = [code(D, c) - code(C, c) for c in Ci]
+    vals = [d - c for d, c in zip(xi._column(G, D), xi._column(G, C))]
     value, index = _stable_suffix(vals)
     if index >= horizon - _MIN_TAIL:
         raise NoStabilization(
@@ -473,12 +519,13 @@ def _stable_suffix(vals):
 
 def cross_ratio(G, xi1, xi2, eta1, eta2, C):
     """Combinatorial cross ratio
-    -{xi1|eta1}_C - {xi2|eta2}_C + {xi1|eta2}_C + {xi2|eta1}_C."""
-    a = boundary_gromov(G, xi1, eta1, C).value
-    b = boundary_gromov(G, xi2, eta2, C).value
-    c = boundary_gromov(G, xi1, eta2, C).value
-    d = boundary_gromov(G, xi2, eta1, C).value
-    return (-a - b + c + d).shared()
+    -{xi1|eta1}_C - {xi2|eta2}_C + {xi1|eta2}_C + {xi2|eta1}_C, summed
+    on the products' packed twice-values and halved once."""
+    a = boundary_gromov(G, xi1, eta1, C).twice
+    b = boundary_gromov(G, xi2, eta2, C).twice
+    c = boundary_gromov(G, xi1, eta2, C).twice
+    d = boundary_gromov(G, xi2, eta1, C).twice
+    return WeightVector.unpack(c + d - a - b, G.primes).halve().shared()
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +536,24 @@ def growth(G, n):
     """a(n): number of chambers within weighted distance n of the base
     chamber 0.  Raises HorizonTooSmall unless every boundary chamber of the
     ball is already farther than n (so the count is certified)."""
-    within = [c for c, d in G.dist_from(0).items() if d.value() <= n + 1e-9]
-    if not all(G.ball.is_inner[c] for c in within):
-        raise HorizonTooSmall("ball radius too small: boundary chambers within distance %s" % n)
-    return len(within)
+    return growth_counter(G)(n)
+
+
+def growth_counter(G):
+    """growth(G, n) as a function of n, from one Dijkstra: the sorted
+    float distances from chamber 0 and the least one of a chamber on the
+    ball's boundary, each compared with n + 1e-9."""
+    dist = [(d.value(), c) for c, d in G.dist_from(0).items()]
+    values = sorted(v for v, _c in dist)
+    inner = G.ball.is_inner
+    edge = min((v for v, c in dist if not inner[c]), default=math.inf)
+
+    def count(n):
+        if edge <= n + 1e-9:
+            raise HorizonTooSmall("ball radius too small: boundary chambers within distance %s" % n)
+        return bisect.bisect_right(values, n + 1e-9)
+
+    return count
 
 
 @dataclass(frozen=True)
@@ -503,9 +564,9 @@ class TauEstimate:
 
 
 def tau_estimate(G, nmax):
-    out = []
+    out, growth_at = [], growth_counter(G)
     for n in range(1, nmax + 1):
-        a = growth(G, n)
+        a = growth_at(n)
         val = math.log(a) / n if a > 0 else 0.0
         out.append((n, Fraction(val).limit_denominator(10**9)))
     return TauEstimate(

@@ -89,6 +89,32 @@ def test_growth_step_must_be_positive(capsys, step):
     assert args.step == 0.25
 
 
+@pytest.mark.parametrize("n,step", [
+    ("1", "1e-7"), ("1", "1e-4"), ("3", "5e-324"), ("0", "1e-13"), ("1e300", "1"),
+])
+def test_growth_grid_over_the_cap_is_a_usage_error(capsys, n, step):
+    # floor((n + 1e-9) / step) + 1 > GROWTH_GRID_CAP points: refused before
+    # any ball is built (1e-7 used to run 10^7 Dijkstras, 5e-324 never
+    # advanced n, and n = 0 still counts every point up to 1e-9)
+    code = cli.main(["metrics", "growth", "--chamber", "3;2,3,8", "--q", "2,3,5",
+                     "--radius", "4", "--n", n, "--step", step])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --step %s makes more than %d grid points up to --n %s\n" % (
+        float(step), cli.GROWTH_GRID_CAP, float(n))
+
+
+@pytest.mark.parametrize("n,step,points", [("1", "1.0001e-4", 10_000), ("0", repr(2.0 ** -40), 1_100)])
+def test_growth_grid_at_the_cap_runs(capsys, n, step, points):
+    code = cli.main(["metrics", "growth", "--chamber", "3;2,3,8", "--q", "2,3,5",
+                     "--radius", "4", "--n", n, "--step", step])
+    growth = json.loads(capsys.readouterr().out)["results"][0]["growth"]
+    assert code == 0
+    assert len(growth) == points <= cli.GROWTH_GRID_CAP
+    assert growth[0] == {"n": 0.0, "a": 1}
+
+
 @pytest.mark.parametrize("n", ["-1", "-0.5", "nan", "inf", "-inf"])
 def test_growth_n_must_be_finite_and_not_negative(capsys, n):
     code = cli.main(["metrics", "growth", "--chamber", "3;2,3,8", "--q", "2,3,5",

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import heapq
 import json
 import math
 import random
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -488,8 +490,14 @@ def _ascending_tail_scan(vals, min_tail=2):
     return None
 
 
+def _tail(vals):
+    """mt._stable_tail of a whole table: zero columns, negated wall sums."""
+    h = len(vals)
+    return mt._stable_tail([0] * h, [0] * h, [-v for row in vals for v in row], h)
+
+
 def _expect_stable(vals):
-    value, index = mt._stable_tail(vals)
+    value, index = _tail(vals)
     return (value, index) if index < len(vals) - 2 else None
 
 
@@ -506,12 +514,12 @@ def test_stable_tail_matches_ascending_scan_on_built_tables():
         ]
         assert _expect_stable(vals) == _ascending_tail_scan(vals)
     # a constant table, one stray corner, a stray entry below the diagonal
-    assert mt._stable_tail([[5] * 4 for _ in range(4)]) == (5, 0)
-    assert mt._stable_tail([[1, 1, 1], [1, 1, 1], [1, 1, 2]]) == (2, 2)
+    assert _tail([[5] * 4 for _ in range(4)]) == (5, 0)
+    assert _tail([[1, 1, 1], [1, 1, 1], [1, 1, 2]]) == (2, 2)
     assert _ascending_tail_scan([[1, 1, 1], [1, 1, 1], [1, 1, 2]]) is None
     vals = [[0] * 5 for _ in range(5)]
     vals[2][1] = 7
-    assert mt._stable_tail(vals) == _ascending_tail_scan(vals) == (0, 2)
+    assert _tail(vals) == _ascending_tail_scan(vals) == (0, 2)
 
 
 @pytest.mark.parametrize("which", ["apartment", "building"])
@@ -804,6 +812,178 @@ def test_stored_boundary_quadruples_are_pinned():
     assert digest == STORED_BOUNDARY_SHA256
 
 
+# ---------------------------------------------------------------------------
+# boundary products on shared tables
+# ---------------------------------------------------------------------------
+
+def _per_base_gromov(G, xi, eta, C):
+    """Oracle: boundary_gromov with every wall sum of its table read
+    afresh at each base, as before the tables were shared; (value,
+    index, horizon)."""
+    mt._require_distinct(xi, eta)
+    Ci = xi.chamber_sequence()
+    Dj = eta.chamber_sequence()
+    horizon = min(len(Ci), len(Dj))
+    if horizon < mt._MIN_TAIL + 1:
+        raise mt.NoStabilization("ray horizon too short", (len(Ci), len(Dj)))
+    code = G.wall_code
+    Ci, Dj = Ci[:horizon], Dj[:horizon]
+    dC = [code(c, C) for c in Ci]
+    dD = [code(d, C) for d in Dj]
+    vals = [[dc + dd - code(c, d) for d, dd in zip(Dj, dD)] for c, dc in zip(Ci, dC)]
+    stable = _ascending_tail_scan(vals, mt._MIN_TAIL)
+    if stable is None:
+        raise mt.NoStabilization(
+            "boundary Gromov product did not stabilize within the horizon",
+            {"horizon": horizon},
+        )
+    twice, index = stable
+    return WeightVector.unpack(twice, G.primes).halve(), index, horizon
+
+
+def _per_base_cross_ratio(G, xi1, xi2, eta1, eta2, C):
+    a = _per_base_gromov(G, xi1, eta1, C)[0]
+    b = _per_base_gromov(G, xi2, eta2, C)[0]
+    c = _per_base_gromov(G, xi1, eta2, C)[0]
+    d = _per_base_gromov(G, xi2, eta1, C)[0]
+    return -a - b + c + d
+
+
+def _per_base_busemann(G, xi, C, D):
+    Ci = xi.chamber_sequence()
+    horizon = len(Ci)
+    if horizon < mt._MIN_TAIL + 1:
+        raise mt.NoStabilization("ray horizon too short", horizon)
+    code = G.wall_code
+    vals = [code(D, c) - code(C, c) for c in Ci]
+    value, index = mt._stable_suffix(vals)
+    if index >= horizon - mt._MIN_TAIL:
+        raise mt.NoStabilization(
+            "Busemann value did not stabilize",
+            [WeightVector.unpack(v, G.primes) for v in vals[-3:]],
+        )
+    return WeightVector.unpack(value, G.primes)
+
+
+def _outcome(fn, *args):
+    """A product's value, index and horizon, a value, or the type,
+    message and detail of the exception it raised."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "detail", None)
+    if isinstance(out, mt.Stabilized):
+        return out.value, out.index, out.horizon
+    return out
+
+
+def _check_against_per_base(G, rays, bases):
+    """Every product, cross ratio and Busemann value of one quadruple at
+    each base, in both ray orders and with xi1, xi2 swapped, against the
+    per-base oracle; returns how many products stabilized."""
+    xi1, xi2, eta1, eta2 = rays
+    stable = 0
+    for C, D in zip(bases, bases[1:] + bases[:1]):
+        for x, y in ((xi1, eta1), (eta1, xi1), (xi2, eta2), (eta2, xi2),
+                     (xi1, eta2), (eta2, xi1), (xi2, eta1), (eta1, xi2)):
+            got = _outcome(mt.boundary_gromov, G, x, y, C)
+            assert got == _outcome(_per_base_gromov, G, x, y, C)
+            stable += isinstance(got[0], WeightVector)
+        for quad in ((xi1, xi2, eta1, eta2), (xi2, xi1, eta1, eta2)):
+            assert _outcome(mt.cross_ratio, G, *quad, C) == _outcome(_per_base_cross_ratio, G, *quad, C)
+        for ray in rays:
+            assert _outcome(mt.busemann, G, ray, C, D) == _outcome(_per_base_busemann, G, ray, C, D)
+    return stable
+
+
+@pytest.mark.parametrize("host", ["pentagon-R4", "q32423-R3", "238-q235-R4"])
+def test_shared_products_match_the_per_base_oracle(host, pentagon_thick, spec238):
+    if host == "pentagon-R4":
+        G = mt.DualGraph(rb.ball(pentagon_thick, 4))
+    elif host == "q32423-R3":
+        G = mt.DualGraph(rb.ball(validate(5, (2,) * 5, (3, 2, 4, 2, 3)), 3))
+    else:
+        G = mt.DualGraph(CoxeterBall(spec238, 4), q=(2, 3, 5))
+        assert not G.letter_sum  # wall sums by the reduced-word search
+    chart = mt.chart_for(G)
+    rng = random.Random(2701)
+    inner = _inner(G)
+    stable = 0
+    for _ in range(10):
+        rays = _random_quadruple(G, chart, rng)
+        stable += _check_against_per_base(G, rays, [0] + rng.sample(inner[1:], 3))
+    assert stable >= 100
+
+
+def test_shared_tables_are_kept_per_graph(spec238):
+    # the same rays on two graphs of one ball: each product reads its own
+    # graph's wall sums, whichever graph read the rays first
+    ball = CoxeterBall(spec238, 4)
+    graphs = mt.DualGraph(ball, q=(2, 3, 5)), mt.DualGraph(ball, q=(7, 2, 3))
+    chart = mt.chart_for(graphs[0])
+    rng = random.Random(2702)
+    inner = _inner(graphs[0])
+    differ = 0
+    for _ in range(8):
+        rays = _random_quadruple(graphs[0], chart, rng)
+        bases = [0] + rng.sample(inner[1:], 3)
+        for G in graphs[::rng.choice((1, -1))]:
+            _check_against_per_base(G, rays, bases)
+        for x, y in ((0, 2), (1, 3), (0, 3), (1, 2)):
+            values = [_outcome(mt.boundary_gromov, G, rays[x], rays[y], bases[1]) for G in graphs]
+            differ += values[0] != values[1]
+    assert differ >= 4
+
+
+def test_rays_are_freed_by_refcounting_after_shared_products(bG):
+    chart = mt.chart_for(bG)
+    rays = [_ray(chart, ORIGIN, t) for t in (0.3, 1.9, 3.4, 5.0)]
+    gc.disable()
+    try:
+        # both orders of every pair, so a table kept on both rays would
+        # leave a cycle for gc
+        for C in (0, 3):
+            mt.cross_ratio(bG, *rays, C)
+            mt.cross_ratio(bG, rays[2], rays[3], rays[0], rays[1], C)
+        mt.busemann(bG, rays[0], 0, 3)
+        assert rays[0]._columns and any(ray._tables for ray in rays)
+        refs = [weakref.ref(ray) for ray in rays]
+        del rays
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_stored_cross_ratios_at_four_bases_share_their_tables(monkeypatch):
+    # 16 products per quadruple, but each pair table (at most L^2 wall
+    # sums) is read once and each base column (L) once per ray and base
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "boundary.json"
+    data = json.loads(path.read_text())
+    ball = rb.ball(parse_chamber_string(data["spec"]), data["radius"])
+    G = mt.DualGraph(ball)
+    chart = mt.chart_for(G, data["chart_radius"])
+    calls = {"wall_code": 0, "boundary_gromov": 0}
+    wall_code, boundary_gromov = mt.DualGraph.wall_code, mt.boundary_gromov
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mt.DualGraph, "wall_code", counted("wall_code", wall_code))
+    monkeypatch.setattr(mt, "boundary_gromov", counted("boundary_gromov", boundary_gromov))
+    for quad in data["quadruples"][:40]:
+        rays = [mt.RaySpec(chart=chart, base=tuple(r[:3]), theta=r[3]) for r in quad["rays"]]
+        bases = [0] + [ball.index[tuple(tuple(x) for x in w)] for w in quad["bases"]]
+        calls.update(wall_code=0, boundary_gromov=0)
+        values = {mt.cross_ratio(G, *rays, C) for C in bases}
+        L = max(len(ray.chamber_sequence()) for ray in rays)
+        assert len(values) == 1
+        assert calls["boundary_gromov"] == 16
+        assert calls["wall_code"] <= 4 * L * L + 16 * L
+
+
 def _alpha_sequence(ray):
     """The host sequence with every chart chamber mapped by _to_host."""
     seq = []
@@ -988,6 +1168,31 @@ def test_growth_basics(bG):
 def test_growth_horizon_guard(bG):
     with pytest.raises(mt.HorizonTooSmall):
         mt.growth(bG, 10)
+
+
+def _growth_per_n(G, dist, n):
+    """Oracle: growth as it filtered the distances `dist` from chamber 0
+    for each n, before the counts shared one sorted table."""
+    within = [c for c, d in dist.items() if d.value() <= n + 1e-9]
+    if not all(G.ball.is_inner[c] for c in within):
+        raise mt.HorizonTooSmall("ball radius too small: boundary chambers within distance %s" % n)
+    return len(within)
+
+
+@pytest.mark.parametrize("which", ["apartment", "building"])
+def test_growth_counter_matches_one_dijkstra_per_n(which, aG, bG):
+    # the same counts and the same HorizonTooSmall, at grid points that
+    # fall on distances, 1e-9 beside them, and between them
+    G = aG if which == "apartment" else bG
+    count, dist = mt.growth_counter(G), G.dist_from(0)
+    dists = sorted({d.value() for d in dist.values()})
+    grid = [i * 0.1 for i in range(60)] + [v + e for v in dists[:40] for e in (0, -1e-9, -2e-9, 1e-12)]
+    outcomes = {}
+    for n in grid:
+        got, want = _outcome(count, n), _outcome(_growth_per_n, G, dist, n)
+        assert got == want
+        outcomes[type(want).__name__] = outcomes.get(type(want).__name__, 0) + 1
+    assert outcomes["int"] > 30 and outcomes["tuple"] > 5
 
 
 def test_tau_estimate_reports_non_converged(bG):
